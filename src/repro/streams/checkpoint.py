@@ -5,17 +5,41 @@ replayed to rebuild the synopses.  A checkpoint writes the engine's whole
 state — the sketch spec (the coins) and every stream's counter array — to
 a directory that :func:`restore_engine` turns back into a live engine.
 
-Layout (format version 2)::
+Layout (format version 3)::
 
     <checkpoint>/
-        manifest.json            # version, spec, stream-name -> file map
-        streams/<escaped>.sketch # counter payload (SketchFamily.to_bytes)
+        manifest.json                    # version, generation, spec,
+                                         # stream-name -> file map, extra
+        streams/<escaped>.<gen>.sketch   # counter payload (to_bytes)
+        uplink/<incarnation>-<seq>.cells # retained uplink exports
+                                         # (network coordinator leaves)
 
 Stream names are user data and may contain anything (``/``, ``..``,
 ``NUL``, characters illegal on the target filesystem), so they are never
 used as file names directly: each name is percent-escaped into a safe
 file stem and the manifest records the exact ``name -> file`` mapping.
-Version-1 checkpoints (raw names, no mapping) are still restorable.
+
+**Publishing is atomic.**  Every checkpoint is a new *generation*:
+payload files carry the generation in their name, so a checkpoint never
+overwrites a file the current manifest names.  The payloads are written
+and fsynced first; then the manifest is written to a temporary file,
+fsynced, and moved over ``manifest.json`` with ``os.replace``, and the
+directory is fsynced.  Only after that are files the new manifest does
+not name deleted.  A crash at any point therefore leaves either the old
+checkpoint or the new one — never new counters under an old manifest's
+metadata (for the network coordinator, its per-site sequence map).
+
+Immutable side files (``uplink/``) are added through
+:func:`write_checkpoint_files` before the manifest that names them is
+published, read back with :func:`read_checkpoint_file`, and dropped with
+:func:`prune_checkpoint_files` once a published manifest no longer needs
+them.  The network coordinator keeps each retained uplink export there
+as one sparse-cell file (:func:`~repro.streams.net.codec.
+encode_sparse_slabs`), written once however many checkpoints it stays
+retained for.
+
+Format-1 (raw names, no mapping) and format-2 (in-place writes)
+checkpoints are still restorable through the manifest's file map.
 
 Sharded engines (:class:`~repro.streams.sharded.ShardedEngine`) checkpoint
 through the same format — :func:`checkpoint_sharded_engine` writes one
@@ -33,8 +57,10 @@ seed, so checkpoints are small and portable across machines.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
-from urllib.parse import quote, unquote
+from typing import Iterable, Mapping
+from urllib.parse import quote
 
 from repro.core.family import SketchFamily, SketchSpec, sum_families
 from repro.errors import ReproError
@@ -47,10 +73,17 @@ __all__ = [
     "restore_sharded_engine",
     "read_checkpoint_extra",
     "read_checkpoint_spec",
+    "write_checkpoint_files",
+    "read_checkpoint_file",
+    "prune_checkpoint_files",
     "CheckpointError",
 ]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, _FORMAT_VERSION)
+_MANIFEST = "manifest.json"
+_STAGED_MANIFEST = "manifest.json.tmp"
+_STREAMS_DIR = "streams"
 
 
 class CheckpointError(ReproError, ValueError):
@@ -72,8 +105,53 @@ def _escape_stream_name(name: str) -> str:
     return escaped[:150]
 
 
-def _write_stream_payloads(streams_dir, named_payloads) -> dict[str, str]:
-    """Write payloads under escaped names; return name -> file mapping."""
+# -- durable file operations ---------------------------------------------------
+#
+# A file is fsynced before any manifest names it, and no file a published
+# manifest names is ever rewritten or deleted: _publish below is the whole
+# crash-consistency argument.
+
+
+def _write_synced(path: pathlib.Path, payload) -> None:
+    """Create (or truncate) ``path`` with ``payload`` and fsync it."""
+    with open(path, "wb") as handle:
+        handle.write(payload)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _sync_dir(path: pathlib.Path) -> None:
+    """Fsync a directory, making the entries created in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _remove_unnamed(folder: pathlib.Path, keep: set[str]) -> None:
+    """Delete every file directly in ``folder`` whose name is not kept."""
+    if not folder.is_dir():
+        return
+    for path in folder.iterdir():
+        if path.name not in keep and path.is_file():
+            os.unlink(path)
+
+
+def _previous_generation(directory: pathlib.Path) -> int:
+    """The published manifest's generation (0 if there is none yet)."""
+    try:
+        manifest = json.loads((directory / _MANIFEST).read_text())
+        return int(manifest.get("generation", 0))
+    except (OSError, ValueError, TypeError, AttributeError):
+        return 0
+
+
+def _write_stream_payloads(
+    streams_dir: pathlib.Path, named_payloads, generation: int
+) -> dict[str, str]:
+    """Write payloads under escaped, generation-tagged names; return the
+    name -> file mapping."""
     files: dict[str, str] = {}
     used: set[str] = set()
     for name, payload in named_payloads:
@@ -84,9 +162,86 @@ def _write_stream_payloads(streams_dir, named_payloads) -> dict[str, str]:
             suffix += 1
             candidate = f"{stem}~{suffix}"
         used.add(candidate)
-        files[name] = f"{candidate}.sketch"
-        (streams_dir / files[name]).write_bytes(payload)
+        files[name] = f"{candidate}.{generation}.sketch"
+        _write_synced(streams_dir / files[name], payload)
     return files
+
+
+def _publish(directory, manifest: dict, named_payloads) -> None:
+    """Write one checkpoint generation and make it the current one.
+
+    The single writer behind every layout (flat, sharded, windowed):
+    payloads first, each fsynced under a name unique to the new
+    generation; then the manifest through a fsynced temporary file and
+    ``os.replace``; then a directory fsync.  Files the new manifest no
+    longer names are deleted only after that, so a crash at any step
+    leaves a complete checkpoint — the old generation or the new one.
+    """
+    directory = pathlib.Path(directory)
+    streams_dir = directory / _STREAMS_DIR
+    streams_dir.mkdir(parents=True, exist_ok=True)
+    generation = _previous_generation(directory) + 1
+    files = _write_stream_payloads(streams_dir, named_payloads, generation)
+    _sync_dir(streams_dir)
+    manifest = {
+        "format_version": _FORMAT_VERSION,
+        "generation": generation,
+        **manifest,
+        "stream_files": files,
+    }
+    staged = directory / _STAGED_MANIFEST
+    _write_synced(staged, json.dumps(manifest).encode())
+    os.replace(staged, directory / _MANIFEST)
+    _sync_dir(directory)
+    _remove_unnamed(streams_dir, set(files.values()))
+
+
+def _plain_name(part: str) -> str:
+    """``part`` if it is one plain path component, else CheckpointError."""
+    if not part or part in (".", "..") or "/" in part or "\x00" in part:
+        raise CheckpointError(f"unsafe checkpoint file name {part!r}")
+    return part
+
+
+def write_checkpoint_files(
+    directory: str | pathlib.Path, folder: str, named_payloads: Mapping[str, bytes]
+) -> None:
+    """Durably add immutable side files under ``<directory>/<folder>/``.
+
+    Call *before* publishing the checkpoint whose ``extra`` metadata
+    refers to them: each file is fsynced, then the folder, so a manifest
+    that names a file is never published ahead of its bytes.  Names
+    must be unique to their content; a name is only ever rewritten
+    after a crash lost the manifest that would have named it.
+    """
+    if not named_payloads:
+        return
+    folder_path = pathlib.Path(directory) / _plain_name(folder)
+    folder_path.mkdir(parents=True, exist_ok=True)
+    for name, payload in named_payloads.items():
+        _write_synced(folder_path / _plain_name(name), payload)
+    _sync_dir(folder_path)
+
+
+def read_checkpoint_file(
+    directory: str | pathlib.Path, folder: str, name: str
+) -> bytes:
+    """The bytes of a side file written by :func:`write_checkpoint_files`."""
+    path = pathlib.Path(directory) / _plain_name(folder) / _plain_name(name)
+    if not path.is_file():
+        raise CheckpointError(f"missing checkpoint file {folder}/{name}")
+    return path.read_bytes()
+
+
+def prune_checkpoint_files(
+    directory: str | pathlib.Path, folder: str, keep: Iterable[str]
+) -> None:
+    """Delete the side files under ``<directory>/<folder>/`` not in ``keep``.
+
+    Call only *after* the manifest that names exactly ``keep`` has been
+    published; leftovers of a crashed checkpoint go the same way.
+    """
+    _remove_unnamed(pathlib.Path(directory) / _plain_name(folder), set(keep))
 
 
 def checkpoint_engine(
@@ -95,13 +250,18 @@ def checkpoint_engine(
     extra: dict | None = None,
 ) -> None:
     """Write the engine's flushed state into ``directory`` (created if
-    needed; existing checkpoint files are overwritten).
+    needed) as a new checkpoint generation, published atomically.
+
+    Payloads go to generation-named files and the manifest replaces the
+    previous one in a single ``os.replace``; the previous generation's
+    payloads are deleted only afterwards.  A crash mid-checkpoint leaves
+    the previous checkpoint restorable and untouched.
 
     ``extra`` is an optional JSON-serialisable mapping stored verbatim in
     the manifest and returned by :func:`read_checkpoint_extra` — layers
     above the engine (e.g. the network coordinator's per-site delta
     sequence map, :mod:`repro.streams.net`) ride their fail-over metadata
-    along in the same atomic-enough unit as the counters they describe.
+    along in the same atomic unit as the counters they describe.
     Restore functions ignore it, so checkpoints with extra metadata stay
     readable by every existing consumer.
 
@@ -110,40 +270,28 @@ def checkpoint_engine(
     ``extra["windows"]`` (a reserved key) and each non-zero bucket's
     counter payload is written next to the stream payloads under the key
     ``window/<stream>@<bucket>``.  :func:`restore_engine` rebuilds the
-    rings; every other consumer — including format-v1/v2 readers that
-    predate windows — simply ignores them and restores the all-time
-    synopses as before.
+    rings; every other consumer simply ignores them and restores the
+    all-time synopses.
     """
-    directory = pathlib.Path(directory)
-    streams_dir = directory / "streams"
-    streams_dir.mkdir(parents=True, exist_ok=True)
-
     engine.flush()
     stream_names = engine.stream_names()
     named_payloads = [
         (name, engine.family(name).to_bytes()) for name in stream_names
     ]
-    window_meta = None
+    extra = dict(extra) if extra else {}
     if getattr(engine, "is_windowed", False):
-        window_meta, bucket_payloads = engine.window_state()
+        extra["windows"], bucket_payloads = engine.window_state()
         named_payloads.extend(
             (_window_key(key), payload) for key, payload in bucket_payloads
         )
-    files = _write_stream_payloads(streams_dir, named_payloads)
-
     manifest = {
-        "format_version": _FORMAT_VERSION,
         "spec": engine.spec.to_json_dict(),
         "streams": stream_names,
-        "stream_files": files,
         "updates_processed": engine.updates_processed,
     }
-    extra = dict(extra) if extra else {}
-    if window_meta is not None:
-        extra["windows"] = window_meta
     if extra:
-        manifest["extra"] = dict(extra)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        manifest["extra"] = extra
+    _publish(directory, manifest, named_payloads)
 
 
 def read_checkpoint_extra(directory: str | pathlib.Path) -> dict:
@@ -172,7 +320,7 @@ def read_checkpoint_spec(directory: str | pathlib.Path) -> SketchSpec:
 
 
 def _load_manifest(directory: pathlib.Path) -> dict:
-    manifest_path = directory / "manifest.json"
+    manifest_path = directory / _MANIFEST
     if not manifest_path.is_file():
         raise CheckpointError(f"no manifest.json under {directory}")
     try:
@@ -180,7 +328,7 @@ def _load_manifest(directory: pathlib.Path) -> dict:
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt manifest: {exc}") from exc
     version = manifest.get("format_version")
-    if version not in (1, _FORMAT_VERSION):
+    if version not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint format {version!r} not supported (expected "
             f"{_FORMAT_VERSION})"
@@ -204,7 +352,7 @@ def _stream_file(manifest: dict, name: str) -> str:
 def _read_family(
     directory: pathlib.Path, manifest: dict, name: str, spec: SketchSpec
 ) -> SketchFamily:
-    payload_path = directory / "streams" / _stream_file(manifest, name)
+    payload_path = directory / _STREAMS_DIR / _stream_file(manifest, name)
     if not payload_path.is_file():
         raise CheckpointError(f"missing sketch payload for stream {name!r}")
     # from_bytes rebuilds the family's incremental per-level aggregates
@@ -237,7 +385,7 @@ def restore_engine(
 ) -> StreamEngine:
     """Rebuild a live engine from a checkpoint directory.
 
-    Accepts flat checkpoints (format 1 or 2) and sharded checkpoints —
+    Accepts flat checkpoints (format 1, 2 or 3) and sharded checkpoints —
     for the latter the per-shard slices of each stream are summed into
     one family per stream, which by linearity is exactly the synopsis of
     the full stream.
@@ -322,10 +470,6 @@ def checkpoint_sharded_engine(
     into a sharded engine stores its per-site sequence map and uplink
     state through the same field whichever fold target it runs.
     """
-    directory = pathlib.Path(directory)
-    streams_dir = directory / "streams"
-    streams_dir.mkdir(parents=True, exist_ok=True)
-
     engine.flush()
     stream_names = engine.stream_names()
     named_payloads = []
@@ -334,19 +478,15 @@ def checkpoint_sharded_engine(
             named_payloads.append(
                 (_slice_name(shard, stream), family.to_bytes())
             )
-    files = _write_stream_payloads(streams_dir, named_payloads)
-
     manifest = {
-        "format_version": _FORMAT_VERSION,
         "spec": engine.spec.to_json_dict(),
         "streams": stream_names,
-        "stream_files": files,
         "updates_processed": engine.updates_processed,
         "shards": engine.num_shards,
     }
     if extra:
         manifest["extra"] = dict(extra)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    _publish(directory, manifest, named_payloads)
 
 
 def restore_sharded_engine(

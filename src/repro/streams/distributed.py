@@ -39,7 +39,6 @@ protocol objects in an asyncio TCP transport.
 
 from __future__ import annotations
 
-import base64
 import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -358,34 +357,26 @@ class StreamSite:
     # -- fail-over state ---------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-serialisable export machinery state (checkpoint payload).
+        """JSON-serialisable export machinery state (checkpoint metadata).
 
-        Captures everything needed to resume this site's delta numbering
-        after a process restart *without* starting a new incarnation: the
-        incarnation id, the sequence counter, the per-stream shipped
-        baselines, and the retained (not yet durably acknowledged)
-        exports.  Counter payloads are base64-encoded so the whole state
-        rides inside a checkpoint manifest's ``extra`` mapping.  The
-        backing engine's counters are *not* included — they are
-        checkpointed separately; restoring both from the same checkpoint
-        keeps baselines and counters consistent.
+        Captures what a process restart needs to resume this site's
+        delta numbering *without* starting a new incarnation: the
+        incarnation id, the sequence counter, and each retained (not yet
+        durably acknowledged) export's sequence, stream names and
+        ``window_at``.  It holds no counters: the retained exports'
+        payloads are stored beside it by the caller (the network
+        coordinator writes one sparse file per export) and handed back
+        to :meth:`from_state`, and the shipped baselines are not stored
+        at all — see :meth:`from_state`.
         """
-        encode = lambda blob: base64.b64encode(blob).decode("ascii")  # noqa: E731
         return {
             "site_id": self.site_id,
             "incarnation": self.incarnation,
             "sequence": self._sequence,
-            "baselines": {
-                name: encode(family.to_bytes())
-                for name, family in self._shipped.items()
-            },
             "retained": [
                 {
                     "sequence": export.sequence,
-                    "payloads": {
-                        name: encode(payload)
-                        for name, payload in export.payloads.items()
-                    },
+                    "streams": list(export.payloads),
                     "window_at": export.window_at,
                 }
                 for export in (
@@ -396,7 +387,12 @@ class StreamSite:
 
     @classmethod
     def from_state(
-        cls, state: Mapping, spec: SketchSpec, *, engine=None
+        cls,
+        state: Mapping,
+        spec: SketchSpec,
+        *,
+        engine=None,
+        payloads: Mapping[int, Mapping[str, bytes]] | None = None,
     ) -> "StreamSite":
         """Rebuild a site from :meth:`to_state` output (checkpoint restore).
 
@@ -404,6 +400,17 @@ class StreamSite:
         the point: a coordinator's uplink restored from a checkpoint must
         continue the very numbering its parent already tracks, so the
         parent sees neither a gap nor a duplicate-shadowing fresh life.
+
+        ``payloads`` maps each retained export's sequence to its dense
+        per-stream payloads, exactly the streams :meth:`to_state` listed.
+
+        The shipped baselines are rebuilt as copies of ``engine``'s
+        families.  That is exact only when the state was captured right
+        after an export and the engine restored from the same instant —
+        the network coordinator's invariant, since it cuts an uplink
+        export at the start of every checkpoint: the families then equal
+        the sum of every export so far (linearity), which is what each
+        baseline is.
         """
         site = cls(
             str(state["site_id"]),
@@ -413,21 +420,24 @@ class StreamSite:
         )
         site._sequence = int(state["sequence"])
         site._shipped = {
-            str(name): SketchFamily.from_bytes(
-                base64.b64decode(payload), spec
-            )
-            for name, payload in dict(state.get("baselines", {})).items()
+            name: family.copy()
+            for name, family in site._engine.families().items()
         }
+        payloads = payloads or {}
         for entry in state.get("retained", ()):
             sequence = int(entry["sequence"])
+            streams = [str(name) for name in entry["streams"]]
+            stored = payloads.get(sequence, {})
+            if sorted(stored) != sorted(streams):
+                raise ValueError(
+                    f"retained export {sequence} lists streams {streams}; "
+                    f"payloads were given for {sorted(stored)}"
+                )
             window_at = entry.get("window_at")
             site._retained[sequence] = DeltaExport(
                 site.site_id,
                 sequence,
-                {
-                    str(name): base64.b64decode(payload)
-                    for name, payload in dict(entry["payloads"]).items()
-                },
+                {name: stored[name] for name in streams},
                 site.incarnation,
                 window_at=None if window_at is None else float(window_at),
             )

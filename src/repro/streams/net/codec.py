@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +66,8 @@ __all__ = [
     "decode_cells",
     "encode_sparse_cells",
     "decode_sparse_cells",
+    "encode_sparse_slabs",
+    "decode_sparse_slabs",
 ]
 
 #: Every encoding this build can decode (the superset any negotiation
@@ -253,6 +255,42 @@ def _sparse_body_from_dense(payload) -> bytes:
     counters = np.frombuffer(payload, dtype="<i8")
     indices = np.flatnonzero(counters)
     return encode_sparse_cells(indices, counters[indices])
+
+
+def encode_sparse_slabs(payloads: Iterable) -> bytes:
+    """Pack several dense counter slabs of one size into one sparse body.
+
+    Slab ``k``'s cell ``i`` is stored at flat index ``k * num_cells + i``
+    (``num_cells`` from the slab length), so one strictly increasing
+    index run covers them all — one file per export however many
+    streams it carries.
+    """
+    indices, values = [], []
+    offset = 0
+    for payload in payloads:
+        counters = np.frombuffer(payload, dtype="<i8")
+        nonzero = np.flatnonzero(counters)
+        indices.append(nonzero + offset)
+        values.append(counters[nonzero])
+        offset += counters.size
+    if not indices:
+        return encode_sparse_cells(np.zeros(0), np.zeros(0))
+    return encode_sparse_cells(np.concatenate(indices), np.concatenate(values))
+
+
+def decode_sparse_slabs(payload, count: int, num_cells: int) -> list[bytes]:
+    """Inverse of :func:`encode_sparse_slabs`: ``count`` dense slabs of
+    ``num_cells`` cells each, validated as strictly as
+    :func:`decode_sparse_cells`."""
+    indices, values = decode_sparse_cells(payload, count * num_cells)
+    bounds = np.searchsorted(indices, np.arange(count + 1) * num_cells)
+    slabs = []
+    for slot in range(count):
+        low, high = bounds[slot], bounds[slot + 1]
+        counters = np.zeros(num_cells, dtype="<i8")
+        counters[indices[low:high] - slot * num_cells] = values[low:high]
+        slabs.append(counters.tobytes())
+    return slabs
 
 
 def encode_delta(

@@ -37,11 +37,13 @@ Two extensions make servers composable into **federation trees**
   any leaf site — same incarnation-scoped sequences, same
   retention-until-durable-ack, same re-sync.  When checkpointing is
   enabled, uplink exports are cut *only inside* :meth:`checkpoint`, so
-  every sequence the parent can ever see is persisted (with the
-  baselines that produced it) before it goes on the wire; a leaf
-  restored from its checkpoint therefore re-ships bit-identical
-  payloads instead of diverging, and a mid-tree crash loses nothing and
-  double-applies nothing.
+  every sequence the parent can ever see is persisted before it goes on
+  the wire; a leaf restored from its checkpoint therefore re-ships
+  bit-identical payloads instead of diverging, and a mid-tree crash
+  loses nothing and double-applies nothing.  Each retained uplink
+  export is written once, as one sparse-cell file under ``uplink/`` in
+  the checkpoint directory, and deleted by the first checkpoint after
+  the parent durably acknowledged it.
 """
 
 from __future__ import annotations
@@ -49,13 +51,18 @@ from __future__ import annotations
 import asyncio
 import pathlib
 import uuid
+from urllib.parse import quote
 
 from repro.core.family import SketchSpec
 from repro.streams.checkpoint import (
+    CheckpointError,
     checkpoint_engine,
     checkpoint_sharded_engine,
+    prune_checkpoint_files,
     read_checkpoint_extra,
+    read_checkpoint_file,
     restore_engine,
+    write_checkpoint_files,
 )
 from repro.streams.distributed import Coordinator, DeltaExport, StreamSite
 from repro.streams.net import codec, protocol
@@ -66,6 +73,47 @@ __all__ = ["CoordinatorServer"]
 
 _SITE_SEQUENCES_KEY = "site_sequences"
 _UPLINK_KEY = "uplink"
+#: Checkpoint sub-directory holding one sparse file per retained uplink
+#: export.
+_UPLINK_DIR = "uplink"
+
+
+def _retained_file(incarnation: str, sequence: int) -> str:
+    """File name (under ``uplink/``) of one retained uplink export."""
+    return f"{quote(incarnation, safe='')}-{int(sequence)}.cells"
+
+
+def _restore_uplink_site(directory, state, coordinator) -> StreamSite:
+    """The uplink site of a checkpoint's ``extra["uplink"]`` state, its
+    retained exports read back from their ``uplink/`` files."""
+    if "baselines" in state:
+        raise CheckpointError(
+            "the checkpoint holds uplink state in the retired format-2 "
+            "layout (base64 baselines in the manifest); it cannot be "
+            "restored as a leaf"
+        )
+    spec = coordinator.spec
+    payloads = {}
+    for entry in state.get("retained", ()):
+        sequence = int(entry["sequence"])
+        streams = [str(name) for name in entry["streams"]]
+        blob = read_checkpoint_file(
+            directory,
+            _UPLINK_DIR,
+            _retained_file(str(state["incarnation"]), sequence),
+        )
+        try:
+            slabs = codec.decode_sparse_slabs(
+                blob, len(streams), spec.counter_cells
+            )
+        except codec.CodecError as exc:
+            raise CheckpointError(
+                f"retained uplink export {sequence} is corrupt: {exc}"
+            ) from exc
+        payloads[sequence] = dict(zip(streams, slabs))
+    return StreamSite.from_state(
+        state, spec, engine=coordinator, payloads=payloads
+    )
 
 
 class CoordinatorServer:
@@ -183,6 +231,9 @@ class CoordinatorServer:
         self._durable: dict[str, dict[str, int]] = {}
         self._applied_since_checkpoint = 0
         self._checkpoints_written = 0
+        # Retained uplink exports already written under uplink/ (each is
+        # written once, however many checkpoints it stays retained for).
+        self._uplink_files: set[str] = set()
         # -- uplink (federation trees) --
         if uplink_every < 0:
             raise ValueError("uplink_every must be non-negative")
@@ -247,10 +298,14 @@ class CoordinatorServer:
         checkpoint restores into either — linearity makes the merged
         families placement-free).  When the checkpoint carries uplink
         state, the restored server keeps the same uplink incarnation,
-        sequence counter, baselines, and retained exports, so the parent
-        coordinator sees an unbroken peer: retained exports re-ship
-        bit-identically and nothing is lost or double-applied.  Pass the
-        same ``parent_port`` (and friends) as the original run.
+        sequence counter, and retained exports (read back from their
+        ``uplink/`` files), so the parent coordinator sees an unbroken
+        peer: retained exports re-ship bit-identically and nothing is
+        lost or double-applied.  The uplink's shipped baselines are the
+        restored families themselves (see :meth:`checkpoint`).  Pass the
+        same ``parent_port`` (and friends) as the original run.  Uplink
+        state written by the format-2 layout raises
+        :class:`~repro.streams.checkpoint.CheckpointError`.
 
         A checkpoint written by a *windowed* fold engine restores into
         that engine directly — the engine
@@ -288,15 +343,22 @@ class CoordinatorServer:
                     str(site_id), str(incarnation), int(sequence)
                 )
         uplink_state = extra.get(_UPLINK_KEY)
+        uplink_files: set[str] = set()
         if uplink_state and kwargs.get("parent_port") is not None:
             kwargs = dict(kwargs)
-            kwargs["uplink_site"] = StreamSite.from_state(
-                uplink_state, coordinator.spec, engine=coordinator
+            site = _restore_uplink_site(
+                checkpoint_dir, uplink_state, coordinator
             )
+            kwargs["uplink_site"] = site
             kwargs.pop("uplink_id", None)
+            uplink_files = {
+                _retained_file(site.incarnation, export.sequence)
+                for export in site.exports_after(0)
+            }
         server = cls(
             coordinator=coordinator, checkpoint_dir=checkpoint_dir, **kwargs
         )
+        server._uplink_files = uplink_files
         server._durable = {
             str(site_id): {
                 str(incarnation): int(sequence)
@@ -424,19 +486,39 @@ class CoordinatorServer:
         """Write the fold state plus the per-site sequence map now.
 
         With an uplink configured, a fresh uplink export is cut *first*
-        and the uplink's full state (incarnation, sequence counter,
-        baselines, retained exports) is persisted in the same manifest.
-        That ordering is the tree-consistency invariant: the parent can
-        only ever receive exports that this checkpoint (or an earlier
-        one) can reproduce bit-identically, so a restored leaf never
-        diverges from what its parent already folded.
+        and the uplink's state (incarnation, sequence counter, retained
+        exports) is persisted with the same checkpoint.  That ordering
+        is the tree-consistency invariant: the parent can only ever
+        receive exports that this checkpoint (or an earlier one) can
+        reproduce bit-identically, so a restored leaf never diverges
+        from what its parent already folded.  It also makes the uplink's
+        shipped baselines redundant: right after the cut they equal the
+        checkpointed families, so they are rebuilt from those on restore
+        instead of being stored.
+
+        Retained exports not yet on disk are written to ``uplink/``
+        before the manifest is published; files of exports the parent
+        has since acknowledged are deleted after it.  Durable acks
+        advance only once the new manifest is in place.
         """
         if self._checkpoint_dir is None:
             raise ValueError("no checkpoint_dir configured")
         extra: dict = {_SITE_SEQUENCES_KEY: self.coordinator.site_sequences()}
+        retained: set[str] = set()
         if self._uplink is not None:
-            self._uplink.site.export()
-            extra[_UPLINK_KEY] = self._uplink.site.to_state()
+            uplink_site = self._uplink.site
+            uplink_site.export()
+            extra[_UPLINK_KEY] = uplink_site.to_state()
+            unwritten = {}
+            for export in uplink_site.exports_after(0):
+                name = _retained_file(uplink_site.incarnation, export.sequence)
+                retained.add(name)
+                if name not in self._uplink_files:
+                    unwritten[name] = codec.encode_sparse_slabs(
+                        export.payloads.values()
+                    )
+            write_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, unwritten)
+            self._uplink_files.update(unwritten)
         engine = self.coordinator.fold_engine
         if engine is not None and hasattr(engine, "num_shards"):
             checkpoint_sharded_engine(engine, self._checkpoint_dir, extra=extra)
@@ -444,6 +526,8 @@ class CoordinatorServer:
             checkpoint_engine(
                 self.coordinator.to_engine(), self._checkpoint_dir, extra=extra
             )
+        prune_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, retained)
+        self._uplink_files &= retained
         self._durable = {
             site: dict(history)
             for site, history in extra[_SITE_SEQUENCES_KEY].items()

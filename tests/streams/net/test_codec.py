@@ -214,6 +214,34 @@ class TestMalformedPayloads:
             codec.decode_dense(bomb, "dense+zlib", CELLS)
 
 
+class TestSparseSlabs:
+    """Several slabs in one sparse body: the retained-export file format
+    of leaf checkpoints."""
+
+    def test_round_trip_is_byte_exact(self):
+        slabs = [
+            dense_with({0: 1, CELLS - 1: -3}),
+            dense_with({}),
+            dense_with({5: 2**40, 6: -(2**40)}),
+        ]
+        blob = codec.encode_sparse_slabs(slabs)
+        assert codec.decode_sparse_slabs(blob, len(slabs), CELLS) == slabs
+
+    def test_no_slabs(self):
+        blob = codec.encode_sparse_slabs([])
+        assert codec.decode_sparse_slabs(blob, 0, CELLS) == []
+
+    def test_cells_past_the_declared_slabs_rejected(self):
+        blob = codec.encode_sparse_slabs([dense_with({}), dense_with({3: 1})])
+        with pytest.raises(codec.CodecError):
+            codec.decode_sparse_slabs(blob, 1, CELLS)
+
+    def test_truncated_body_rejected(self):
+        blob = codec.encode_sparse_slabs([dense_with({1: 7, 9: -1})])
+        with pytest.raises(codec.CodecError):
+            codec.decode_sparse_slabs(blob[:-1], 1, CELLS)
+
+
 class TestFamilyCellHelpers:
     def test_nonzero_cells_round_trip(self):
         family = SPEC.build()

@@ -643,7 +643,7 @@ class TestWindowStamps:
         with pytest.raises(ValueError, match="window watermarks"):
             coalesce_exports(exports, SPEC)
 
-    def test_stamp_survives_the_wire_and_state_roundtrip(self):
+    def test_stamp_survives_the_wire_and_state_roundtrip(self, tmp_path):
         site = self._windowed_site()
         site.observe(Update("A", 1, 1), at=7.0)
         export = site.export()
@@ -657,9 +657,26 @@ class TestWindowStamps:
         assert "window_at" not in header
         assert protocol.export_from_message(header, blobs).window_at is None
 
-        restored = StreamSite.from_state(site.to_state(), SPEC)
-        [retained] = restored.exports_after(0)
-        assert retained.window_at == 7.0
+        # Through a real checkpoint directory: a windowed leaf folds the
+        # stamped export, its checkpoint cuts a stamped uplink export,
+        # and the restored leaf's retained copy keeps the stamp.
+        def windowed(spec):
+            return StreamEngine(spec, window_span=10.0, bucket_width=2.0)
+
+        leaf = CoordinatorServer(
+            SPEC,
+            checkpoint_dir=tmp_path,
+            engine_factory=windowed,
+            parent_port=65_000,  # never dialled in this test
+            uplink_id="leaf",
+        )
+        leaf.coordinator.collect(export)
+        leaf.checkpoint()
+        [cut] = leaf.uplink.site.exports_after(0)
+        restored = CoordinatorServer.restore(tmp_path, parent_port=65_000)
+        [retained] = restored.uplink.site.exports_after(0)
+        assert retained.window_at == cut.window_at == 7.0
+        assert retained.payloads == dict(cut.payloads)
 
     def test_wire_rejects_malformed_stamps(self):
         site = self._windowed_site()

@@ -129,7 +129,8 @@ class TestFailureModes:
     def test_missing_sketch_payload(self, tmp_path):
         engine = loaded_engine()
         checkpoint_engine(engine, tmp_path / "ckpt")
-        (tmp_path / "ckpt" / "streams" / "A.sketch").unlink()
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        (tmp_path / "ckpt" / "streams" / manifest["stream_files"]["A"]).unlink()
         with pytest.raises(CheckpointError, match="A"):
             restore_engine(tmp_path / "ckpt")
 

@@ -107,9 +107,9 @@ class TestV1Migration:
         server._checkpoint_dir = tmp_path / "v2"
         server.checkpoint()
         manifest = json.loads((tmp_path / "v2" / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["shards"] == 2
-        # Slices are keyed per shard in the v2 mapping.
+        # Slices are keyed per shard in the manifest's file map.
         assert all(key.startswith("shard") for key in manifest["stream_files"])
         assert manifest["stream_files"]
         restored = restore_engine(tmp_path / "v2")
@@ -194,6 +194,15 @@ class TestExtraThroughShardedLeaf:
             assert extra["uplink"]["site_id"] == "leaf"
             assert extra["uplink"]["sequence"] == 1  # cut by checkpoint()
             assert extra["uplink"]["retained"], "export retained until ack"
+            # Each retained export sits in its own sparse file under
+            # uplink/, and the manifest carries no counters for it.
+            assert "baselines" not in extra["uplink"]
+            assert all("payloads" not in e for e in extra["uplink"]["retained"])
+            incarnation = extra["uplink"]["incarnation"]
+            assert sorted(p.name for p in (tmp_path / "uplink").iterdir()) == [
+                f"{incarnation}-{entry['sequence']}.cells"
+                for entry in extra["uplink"]["retained"]
+            ]
 
             restored = CoordinatorServer.restore(
                 tmp_path,
@@ -226,3 +235,101 @@ class TestExtraThroughShardedLeaf:
             restored.coordinator.fold_engine.close()
 
         asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
+class TestFormat3:
+    def test_v2_engine_checkpoint_restores_and_is_swept(self, tmp_path):
+        """A format-2 checkpoint (in-place ``<name>.sketch`` payloads)
+        restores through its file map; the next checkpoint publishes
+        format 3 and deletes the old payload files."""
+        engine = loaded_engine()
+        (tmp_path / "streams").mkdir()
+        files = {name: f"{name}.sketch" for name in engine.stream_names()}
+        for name, filename in files.items():
+            (tmp_path / "streams" / filename).write_bytes(
+                engine.family(name).to_bytes()
+            )
+        (tmp_path / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format_version": 2,
+                    "spec": SPEC.to_json_dict(),
+                    "streams": engine.stream_names(),
+                    "stream_files": files,
+                    "updates_processed": engine.updates_processed,
+                }
+            )
+        )
+        server = CoordinatorServer.restore(tmp_path)
+        for name in engine.stream_names():
+            assert server.coordinator.families()[name] == engine.family(name)
+        server.checkpoint()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["format_version"] == 3
+        assert sorted(p.name for p in (tmp_path / "streams").iterdir()) == sorted(
+            manifest["stream_files"].values()
+        )
+        assert not set(files.values()) & set(manifest["stream_files"].values())
+
+    def test_v2_uplink_state_is_refused(self, tmp_path):
+        """Format-2 leaf checkpoints kept base64 baselines and retained
+        slabs in the manifest; restoring one as a leaf raises instead of
+        keeping a second reader."""
+        engine = loaded_engine()
+        write_v1_checkpoint(tmp_path, engine)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        manifest["extra"] = {
+            "uplink": {
+                "site_id": "leaf",
+                "incarnation": "abc",
+                "sequence": 1,
+                "baselines": {"A": "AAAA"},
+                "retained": [{"sequence": 1, "payloads": {"A": "AAAA"}}],
+            }
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format-2"):
+            CoordinatorServer.restore(tmp_path, parent_port=65_000)
+
+    def leaf_with_retained_export(self, tmp_path) -> CoordinatorServer:
+        leaf = CoordinatorServer(
+            SPEC,
+            checkpoint_dir=tmp_path,
+            parent_port=65_000,  # never dialled in this test
+            uplink_id="leaf",
+        )
+        site = StreamSite("s1", SPEC)
+        site.observe_many(insertions("A", range(150)))
+        leaf.coordinator.collect(site.export())
+        leaf.checkpoint()
+        return leaf
+
+    def test_corrupt_retained_export_file_is_refused(self, tmp_path):
+        self.leaf_with_retained_export(tmp_path)
+        [path] = (tmp_path / "uplink").iterdir()
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match="corrupt"):
+            CoordinatorServer.restore(tmp_path, parent_port=65_000)
+
+    def test_missing_retained_export_file_is_refused(self, tmp_path):
+        self.leaf_with_retained_export(tmp_path)
+        [path] = (tmp_path / "uplink").iterdir()
+        path.unlink()
+        with pytest.raises(CheckpointError, match="missing"):
+            CoordinatorServer.restore(tmp_path, parent_port=65_000)
+
+    def test_restore_rebuilds_baselines_from_the_families(self, tmp_path):
+        """With no baselines stored, the restored uplink's next export
+        is exactly what the original leaf would have cut."""
+        leaf = self.leaf_with_retained_export(tmp_path)
+        restored = CoordinatorServer.restore(tmp_path, parent_port=65_000)
+        more = StreamSite("s2", SPEC)
+        more.observe_many(insertions("B", range(40)))
+        export = more.export()
+        for server in (leaf, restored):
+            server.coordinator.collect(export)
+        assert (
+            restored.uplink.site.export().payloads
+            == leaf.uplink.site.export().payloads
+        )
