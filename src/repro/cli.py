@@ -84,27 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--independence", type=int, default=8)
     ingest.add_argument("--domain-bits", type=int, default=30)
     ingest.add_argument("--seed", type=int, default=0)
-    ingest.add_argument(
-        "--shards", type=int, default=1,
-        help="partition ingest across N parallel shards (1 = single engine)",
-    )
-    ingest.add_argument(
-        "--dense-domain", type=int, default=None, metavar="N",
-        help="precompute dense scatter rows for elements in [0, N) "
-        "(4 KiB per element at the default shape); the tail falls back "
-        "to the plan's row cache",
-    )
-    ingest.add_argument(
-        "--hot-keys", type=int, default=0, metavar="K",
-        help="learn the K hottest elements from the stream and precompute "
-        "their scatter rows instead of assuming a bounded prefix "
-        "(mutually exclusive with --dense-domain)",
-    )
-    ingest.add_argument(
-        "--executor", choices=("serial", "threads", "processes"),
-        default="threads",
-        help="shard backend when --shards > 1",
-    )
 
     def add_window_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -204,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-deltas", type=int, default=None,
         help="exit after N applied deltas (default: run until interrupted)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="fold deltas into a ShardedEngine with N shards (1 = flat)",
     )
     serve.add_argument(
         "--parent", default=None, metavar="HOST:PORT",
@@ -323,12 +298,8 @@ def _command_generate(args: argparse.Namespace) -> int:
 def _command_ingest(args: argparse.Namespace) -> int:
     from repro.core.family import SketchSpec
     from repro.core.sketch import SketchShape
-    from repro.streams.checkpoint import (
-        checkpoint_engine,
-        checkpoint_sharded_engine,
-    )
+    from repro.streams.checkpoint import checkpoint_engine
     from repro.streams.engine import StreamEngine
-    from repro.streams.sharded import ShardedEngine
     from repro.streams.sources import replay_into
 
     spec = SketchSpec(
@@ -340,20 +311,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
     )
-    if args.shards < 1:
-        print("--shards must be positive", file=sys.stderr)
-        return 2
-    if args.dense_domain is not None and args.hot_keys:
-        print("pass --dense-domain or --hot-keys, not both", file=sys.stderr)
-        return 2
     windowed = _check_window_args(args)
-    if windowed and args.shards > 1:
-        print(
-            "windowing is unsupported on a sharded engine; drop --shards "
-            "or the window flags",
-            file=sys.stderr,
-        )
-        return 2
     progress = lambda n: print(f"  {n:,} updates ingested ...")  # noqa: E731
     if windowed:
         # Log replay has no wall clock; the update index is the logical
@@ -362,8 +320,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
 
         engine = StreamEngine(
             spec,
-            dense_domain=args.dense_domain,
-            hot_keys=args.hot_keys,
             window_span=args.window_span,
             bucket_width=args.bucket_width,
         )
@@ -376,31 +332,10 @@ def _command_ingest(args: argparse.Namespace) -> int:
             for index, update in enumerate(source, start=1)
         )
         checkpoint_engine(engine, args.checkpoint)
-    elif args.shards == 1:
-        engine = StreamEngine(
-            spec, dense_domain=args.dense_domain, hot_keys=args.hot_keys
-        )
+    else:
+        engine = StreamEngine(spec)
         count = replay_into(args.log, engine, progress=progress)
         checkpoint_engine(engine, args.checkpoint)
-    else:
-        with ShardedEngine(
-            spec,
-            num_shards=args.shards,
-            executor=args.executor,
-            dense_domain=args.dense_domain,
-            hot_keys=args.hot_keys,
-        ) as engine:
-            count = replay_into(args.log, engine, progress=progress)
-            engine.flush()
-            checkpoint_sharded_engine(engine, args.checkpoint)
-            print(engine.stats().as_table())
-            print(
-                f"ingested {count:,} updates over streams "
-                f"{', '.join(engine.stream_names())} across {args.shards} "
-                f"{args.executor} shards; checkpoint at {args.checkpoint} "
-                f"({engine.synopsis_bytes() / 1e6:.1f} MB of counters)"
-            )
-            return 0
     print(
         f"ingested {count:,} updates over streams "
         f"{', '.join(engine.stream_names())}; checkpoint at {args.checkpoint} "
@@ -614,26 +549,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     encodings = _parse_encodings(args.encodings)
     windowed = _check_window_args(args)
-    if windowed and args.shards > 1:
-        print(
-            "windowing is unsupported on a sharded fold engine; drop "
-            "--shards or the window flags",
-            file=sys.stderr,
-        )
-        return 2
 
     engine_factory = None
-    if args.shards > 1:
-        from repro.streams.sharded import ShardedEngine
-
-        # Serial executor: the fold runs on the asyncio loop's thread and
-        # this container is single-core anyway — sharding buys the
-        # partitioned layout (and checkpoint format), not parallelism.
-        def engine_factory(spec):
-            return ShardedEngine(
-                spec, num_shards=args.shards, executor="serial"
-            )
-    elif windowed:
+    if windowed:
         from repro.streams.engine import StreamEngine
 
         # A windowed fold target buckets incoming deltas by their

@@ -303,16 +303,16 @@ class SketchFamily:
             raise DomainError("batch contains elements outside [0, M)")
         if counts is not None and counts.shape != elements.shape:
             raise ValueError("counts must align with elements")
-        parts = resolved.scatter_parts(elements)
-        if parts is None:
-            # Scan flood: the plan declined (see HashPlan.scatter_parts) —
+        rows = resolved.scatter_rows(elements)
+        if rows is None:
+            # Scan flood: the plan declined (see HashPlan.scatter_rows) —
             # classic per-sketch maintenance is faster than materialising
             # unreusable index rows.
             for index in range(self.spec.num_sketches):
                 self.sketch(index).update_batch(elements, counts)
             self._mark_all_dirty()
             return
-        self._scatter_parts(resolved, parts, counts)
+        self._scatter_rows(resolved, rows, counts)
 
     def ingest_batch(self, elements, counts=None, *, plan: HashPlan | str | None = "auto") -> int:
         """Maintenance over a batch, aggregated by linearity first.
@@ -327,11 +327,10 @@ class SketchFamily:
         update streams, and bit-identical to it in the final counters.
 
         On the plan path the index rows for the *whole* unique set are
-        produced by one :meth:`~repro.core.plan.HashPlan.scatter_parts`
-        call before the groups split — one dense-table gather and one
-        (larger, therefore better-amortised) hash pass over the tail
-        instead of one per delta group — and each group scatters its
-        :meth:`~repro.core.plan.ScatterParts.subset`.  Rows are a pure
+        produced by one :meth:`~repro.core.plan.HashPlan.scatter_rows`
+        call before the groups split — one (larger, therefore
+        better-amortised) hash pass instead of one per delta group — and
+        each group scatters its subset of the rows.  Rows are a pure
         function of the element, so the result stays bit-identical to
         routing each group through :meth:`update_batch`; when no plan is
         active (or the plan declines a scan flood), the groups fall back
@@ -368,24 +367,24 @@ class SketchFamily:
         # Split by delta so uniform groups (the bulk of real traffic: unit
         # insertions, unit deletions) hit the unweighted histogram path.
         ones = net == 1
-        parts = None
+        rows = None
         if resolved is not None:
             # ``unique`` is sorted, so the domain check is O(1).
             if int(unique[-1]) >= self.spec.shape.domain_size:
                 raise DomainError("batch contains elements outside [0, M)")
-            parts = resolved.scatter_parts(unique)
-        if parts is not None:
+            rows = resolved.scatter_rows(unique)
+        if rows is not None:
             if ones.all():
-                self._scatter_parts(resolved, parts, None)
+                self._scatter_rows(resolved, rows, None)
                 return int(unique.size)
             minus = net == -1
             mixed = ~(ones | minus)
             if ones.any():
-                self._scatter_parts(resolved, parts.subset(ones), None)
+                self._scatter_rows(resolved, rows[ones], None)
             if minus.any():
-                self._scatter_parts(resolved, parts.subset(minus), net[minus])
+                self._scatter_rows(resolved, rows[minus], net[minus])
             if mixed.any():
-                self._scatter_parts(resolved, parts.subset(mixed), net[mixed])
+                self._scatter_rows(resolved, rows[mixed], net[mixed])
             return int(unique.size)
         if ones.all():
             self.update_batch(unique, plan=resolved)
@@ -503,11 +502,11 @@ class SketchFamily:
 
         ``keys`` is the ``(n, r)`` bucket-key matrix (values
         ``sketch·levels + level``) of the rows just scattered — from
-        :meth:`~repro.core.plan.HashPlan.bucket_keys` or its local-layout
-        twin; the ``j = 0`` column per sketch is the cell whose counter
-        pair forms the bucket total, so the totals delta is one
-        ``bincount`` over the keys — the same exact int64 accumulation
-        the counters saw, an ``s``-th of the scatter work.
+        :meth:`~repro.core.plan.HashPlan.bucket_keys`; the ``j = 0``
+        column per sketch is the cell whose counter pair forms the bucket
+        total, so the totals delta is one ``bincount`` over the keys —
+        the same exact int64 accumulation the counters saw, an ``s``-th
+        of the scatter work.
         """
         num_levels = self.spec.shape.num_levels
         flat_totals = self._level_totals.reshape(-1)
@@ -729,12 +728,10 @@ class SketchFamily:
             )
         return plan
 
-    def _scatter_parts(self, plan: HashPlan, parts, counts) -> None:
-        """Scatter a plan-produced dense/tail split into the counters.
+    def _scatter_rows(self, plan: HashPlan, rows: np.ndarray, counts) -> None:
+        """Scatter plan-produced index rows into the counters.
 
-        The dense part stays in the table's per-sketch-local layout all
-        the way into ``bincount`` (no globalising pass); the tail keeps
-        the global int32 layout.  Accumulation rules per part mirror
+        Accumulation rules mirror
         :meth:`repro.core.sketch.TwoLevelHashSketch.update_batch` exactly
         (unweighted histogram for uniform deltas, the guarded
         ``scatter_add`` otherwise), and int64 addition commutes, so the
@@ -748,45 +745,21 @@ class SketchFamily:
                 if contiguous
                 else np.ascontiguousarray(counters).reshape(-1)
             )
-            covered = parts.covered
-            dense_counts = tail_counts = None
-            if counts is not None:
-                if covered is None:
-                    tail_counts = counts
+            if counts is None:
+                plan.scatter(target, rows)
+            else:
+                first = int(counts[0])
+                if bool((counts == first).all()):
+                    plan.scatter(target, rows, scale=first)
                 else:
-                    dense_counts = counts[covered]
-                    tail_counts = counts[~covered]
-            dense_rows = parts.dense_rows
-            if dense_rows is not None and dense_rows.shape[0]:
-                self._accumulate(plan, target, dense_rows, dense_counts, True)
-                self._note_keys(plan.bucket_keys_local(dense_rows), dense_counts)
-            tail_rows = parts.tail_rows
-            if tail_rows is not None and tail_rows.shape[0]:
-                self._accumulate(plan, target, tail_rows, tail_counts, False)
-                self._note_keys(plan.bucket_keys(tail_rows), tail_counts)
+                    scatter_add(
+                        target,
+                        rows.reshape(-1),
+                        np.repeat(counts, plan.row_width),
+                    )
+            self._note_keys(plan.bucket_keys(rows), counts)
             if not contiguous:
                 np.copyto(counters, target.reshape(counters.shape))
-
-    @staticmethod
-    def _accumulate(
-        plan: HashPlan, target: np.ndarray, rows: np.ndarray, counts, local: bool
-    ) -> None:
-        """Add one part's rows into flat ``target`` (exact int64)."""
-        if counts is None:
-            scale = 1
-        else:
-            first = int(counts[0])
-            if not bool((counts == first).all()):
-                flat = plan.globalize_rows(rows) if local else rows
-                scatter_add(
-                    target, flat.reshape(-1), np.repeat(counts, plan.row_width)
-                )
-                return
-            scale = first
-        if local:
-            plan.scatter_local(target, rows, scale=scale)
-        else:
-            plan.scatter(target, rows, scale=scale)
 
     def _check_compatible(self, other: "SketchFamily") -> None:
         if self.spec != other.spec:
@@ -799,8 +772,7 @@ def sum_families(
     """Family summarising the multiset sum of several same-spec streams.
 
     By linearity this is *the* synopsis of the combined stream — the merge
-    step of both the distributed coordinator and the sharded ingest layer
-    (:mod:`repro.streams.sharded`).  Counters are accumulated with
+    step of the distributed coordinator.  Counters are accumulated with
     ``np.add(..., out=...)`` into one target array: pass ``out`` (a family
     whose storage is reused and overwritten) to make the merge allocation
     free on the query hot path.

@@ -9,9 +9,9 @@ and the 2-level hash sketch update is a pure function of the element:
                 ``(r, levels, s, 2)`` tensor (one ``(level, j, bit)``
                 triple per member sketch and second-level hash).
 
-Only the *signed count* of an update varies between streams, batches, and
-shards; the cell indices never do.  A :class:`HashPlan` exploits that
-determinism four ways:
+Only the *signed count* of an update varies between streams and batches;
+the cell indices never do.  A :class:`HashPlan` exploits that
+determinism three ways:
 
 * **stacked evaluation** — all ``r`` first-level polynomials are evaluated
   as one ``(r, t)`` coefficient matrix through the 2-D form of
@@ -21,28 +21,17 @@ determinism four ways:
 * **an element → index-row LRU** — a bounded cache of previously computed
   ``(r·s,)`` index rows, so the heavy hitters of a skewed stream skip
   hashing entirely on every batch after their first;
-* **dense precomputed-scatter tables** — for a bounded domain prefix (or
-  a learned hot-key dictionary) a :class:`DenseScatterTable` materialises
-  *every* element's index row up front, turning the hot part of each
-  batch into one pure gather with no hashing, no per-element Python, and
-  no cache-admission traffic; the LRU serves only the tail (see
-  :meth:`HashPlan.ensure_dense_domain` / :meth:`HashPlan.ensure_dense_keys`);
 * **sharing by coins** — :func:`plan_for` memoises one plan per spec, so
   every family of the spec (every stream of a
   :class:`~repro.streams.engine.StreamEngine`) reuses the same plan *and
   the same cache*: an element hashed for stream ``A`` is a cache hit for
-  stream ``B``.  (The sharded engine instead gives each shard its *own*
-  plan over the same coins — shards own disjoint element slices, so a
-  shared LRU would only let them evict each other's rows — while the
-  plans share one :class:`PlanTimers`, keeping the reported wall-clock
-  de-overlapped across concurrent shard threads.)
+  stream ``B``.
 
 Exactness: the plan is a reorganisation of identical integer arithmetic,
 not an approximation — rows are bit-identical to what the per-sketch
-maintenance path computes (whether hashed, cached, or gathered from a
-dense table), and scattering them with the same int64-exact accumulation
-rules leaves the counters bit-identical too (tested in
-``tests/core/test_plan.py``).
+maintenance path computes (whether hashed or cached), and scattering them
+with the same int64-exact accumulation rules leaves the counters
+bit-identical too (tested in ``tests/core/test_plan.py``).
 """
 
 from __future__ import annotations
@@ -68,9 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (family imports us)
 __all__ = [
     "HashPlan",
     "HashPlanStats",
-    "DenseScatterTable",
-    "ScatterParts",
-    "PlanTimers",
     "plan_for",
     "DEFAULT_CACHE_SIZE",
 ]
@@ -97,308 +83,15 @@ STACKED_HASH_MAX = 1536
 #: loop whose (levels·s·2)-cell histograms stay cache-resident.
 STACKED_SCATTER_MAX = 2 * 1024 * 1024
 
-#: Chunk size used when a dense table pre-hashes its whole key range.
-#: Large enough that per-chunk fixed costs amortise, and past
-#: :data:`STACKED_HASH_MAX` so each chunk takes the per-sketch fill, the
-#: measured per-element optimum for bulk hashing (~15 µs/element at the
-#: library default shape vs ~22 µs stacked at the same size).
-DENSE_BUILD_CHUNK = 4096
-
-#: Refuse to build dense tables above this size (a config-error guard:
-#: at the default shape each local-id row is 2 KiB, so 8 GiB ≈ four
-#: million keys).
-_DENSE_MAX_BYTES = 8 << 30
-
-
-class ScatterParts:
-    """One batch's scatter input, split dense/tail (see
-    :meth:`HashPlan.scatter_parts`).
-
-    ``covered`` is the boolean per-element mask of dense-table coverage
-    (``None`` when no table is attached); ``dense_rows`` holds the
-    gathered **per-sketch-local** rows of the covered elements, in batch
-    order, and ``tail_rows`` the global int32 rows of the rest.  Either
-    part may be ``None``/empty.  ``subset(mask)`` restricts both parts to
-    an element subset — how the aggregated ingest path scatters its
-    per-delta groups without re-gathering or re-hashing anything.
-    """
-
-    __slots__ = ("covered", "dense_rows", "tail_rows")
-
-    def __init__(
-        self,
-        covered: np.ndarray | None,
-        dense_rows: np.ndarray | None,
-        tail_rows: np.ndarray | None,
-    ) -> None:
-        self.covered = covered
-        self.dense_rows = dense_rows
-        self.tail_rows = tail_rows
-
-    def subset(self, mask: np.ndarray) -> "ScatterParts":
-        """The parts of the elements selected by boolean ``mask``."""
-        covered = self.covered
-        if covered is None:
-            tail = None if self.tail_rows is None else self.tail_rows[mask]
-            return ScatterParts(None, None, tail)
-        dense = (
-            None
-            if self.dense_rows is None
-            else self.dense_rows[mask[covered]]
-        )
-        tail = (
-            None
-            if self.tail_rows is None
-            else self.tail_rows[mask[~covered]]
-        )
-        return ScatterParts(covered[mask], dense, tail)
-
-
-class _BusyTimer:
-    """Wall-clock accumulator that de-overlaps concurrent intervals.
-
-    ``busy_seconds`` is the measure of the *union* of all timed intervals
-    — when four shard threads hash simultaneously for one second, busy
-    time advances by one second, not four — so it can never exceed the
-    elapsed wall-clock of the enclosing run.  ``cpu_seconds`` is the
-    plain per-thread sum (the four-second figure), the right unit for
-    "how much work happened" roll-ups across workers.
-    """
-
-    __slots__ = ("_lock", "_active", "_since", "_busy", "_cpu")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._active = 0
-        self._since = 0.0
-        self._busy = 0.0
-        self._cpu = 0.0
-
-    def enter(self) -> float:
-        now = time.perf_counter()
-        with self._lock:
-            if self._active == 0:
-                self._since = now
-            self._active += 1
-        return now
-
-    def exit(self, entered: float) -> None:
-        now = time.perf_counter()
-        with self._lock:
-            self._cpu += now - entered
-            self._active -= 1
-            if self._active == 0:
-                self._busy += now - self._since
-
-    def add_exclusive(self, seconds: float) -> None:
-        """Credit an interval measured externally (single-threaded caller)."""
-        with self._lock:
-            self._cpu += seconds
-            if self._active == 0:  # no overlap to de-duplicate against
-                self._busy += seconds
-
-    def snapshot(self) -> tuple[float, float]:
-        """``(busy_seconds, cpu_seconds)`` including any in-flight interval."""
-        now = time.perf_counter()
-        with self._lock:
-            busy = self._busy
-            if self._active:
-                busy += now - self._since
-            return busy, self._cpu
-
-    def reset(self) -> None:
-        with self._lock:
-            self._busy = 0.0
-            self._cpu = 0.0
-            self._since = time.perf_counter()
-
-
-class PlanTimers:
-    """The hash/scatter time accounting of one or more :class:`HashPlan`.
-
-    Separated from the plan so several plans can share one instance: the
-    sharded engine builds per-shard plans (private LRUs) over one shared
-    ``PlanTimers``, which is what keeps the reported ``hash_seconds`` /
-    ``scatter_seconds`` a de-overlapped wall-clock figure — concurrent
-    shard threads extend the same busy interval instead of each adding
-    their own copy of it.
-    """
-
-    __slots__ = ("hash", "scatter")
-
-    def __init__(self) -> None:
-        self.hash = _BusyTimer()
-        self.scatter = _BusyTimer()
-
-    def snapshot(self) -> tuple[float, float, float, float]:
-        """``(hash_busy, scatter_busy, hash_cpu, scatter_cpu)`` seconds."""
-        hash_busy, hash_cpu = self.hash.snapshot()
-        scatter_busy, scatter_cpu = self.scatter.snapshot()
-        return hash_busy, scatter_busy, hash_cpu, scatter_cpu
-
-    def reset(self) -> None:
-        self.hash.reset()
-        self.scatter.reset()
-
-
-class DenseScatterTable:
-    """Precomputed index rows for a fixed key set (the csvec trick).
-
-    ``rows[i]`` holds the cells :meth:`HashPlan.compute_rows` computes
-    for key ``i``, stored as **per-sketch-local** ids (``cell − k·cells``
-    for sketch ``k``, always ``< levels·s·2``) in the narrowest dtype
-    that fits — ``uint16`` at any practical shape.  Local ids halve the
-    table against the naive int32-global layout (2 KiB per key at the
-    library default shape), halve the gather bandwidth of serving a
-    batch, and let the scatter skip the per-sketch offset subtraction
-    entirely; :meth:`HashPlan.globalize_rows` converts back whenever
-    global rows are genuinely needed.  Serving a covered batch is a
-    single fancy-index gather.  Two key layouts:
-
-    * **contiguous** (``keys is None``): the table covers the domain
-      prefix ``[0, limit)`` and lookup is the identity — the right mode
-      for bounded domains and for generators that put the hot mass on
-      low ids;
-    * **dictionary** (``keys`` sorted, unique): the table covers an
-      arbitrary learned hot-key set and lookup is a ``searchsorted`` —
-      the right mode when the hot set is known but scattered over the
-      domain.
-
-    Tables are immutable after construction and safe to share across
-    threads, plans, and (via shared memory) worker processes; they hold
-    rows only — no counts, no per-stream state — exactly because the
-    "stored coins" contract makes rows a pure function of the element.
-    """
-
-    __slots__ = ("rows", "keys", "limit", "build_seconds")
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        keys: np.ndarray | None = None,
-        build_seconds: float = 0.0,
-    ) -> None:
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D (num_keys, row_width) table")
-        if keys is not None:
-            keys = np.asarray(keys, dtype=np.uint64)
-            if keys.shape != (rows.shape[0],):
-                raise ValueError("keys must align with the table rows")
-            if keys.size > 1 and not bool((keys[1:] > keys[:-1]).all()):
-                raise ValueError("keys must be strictly increasing")
-        self.rows = rows
-        self.keys = keys
-        self.limit = rows.shape[0] if keys is None else 0
-        self.build_seconds = build_seconds
-
-    @property
-    def num_keys(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        total = self.rows.nbytes
-        if self.keys is not None:
-            total += self.keys.nbytes
-        return total
-
-    @property
-    def contiguous(self) -> bool:
-        """True for the ``[0, limit)`` layout, False for a key dictionary."""
-        return self.keys is None
-
-    def locate(self, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(table_indices, covered_mask)`` for a batch of elements.
-
-        ``table_indices[covered_mask]`` index :attr:`rows`; positions
-        outside the mask are the fallback tail (their index values are
-        meaningless).  Pure lookup — no per-element Python.
-        """
-        if self.keys is None:
-            covered = elements < np.uint64(self.limit)
-            return elements, covered
-        positions = np.searchsorted(self.keys, elements)
-        positions = np.minimum(positions, self.keys.size - 1)
-        covered = self.keys[positions] == elements
-        return positions, covered
-
-    @classmethod
-    def build(
-        cls,
-        plan: "HashPlan",
-        keys: np.ndarray | None = None,
-        limit: int | None = None,
-        chunk: int = DENSE_BUILD_CHUNK,
-    ) -> "DenseScatterTable":
-        """Hash a whole key range up front into a table.
-
-        Pass ``limit`` for the contiguous ``[0, limit)`` layout or
-        ``keys`` (any order, duplicates dropped) for the dictionary
-        layout.  Hashing runs in :data:`DENSE_BUILD_CHUNK`-sized chunks —
-        the measured bulk-hashing optimum — through the same arithmetic
-        as :meth:`HashPlan.compute_rows`, so the table is bit-identical
-        to on-demand hashing.  Build time is *not* charged to the plan's
-        hash timer (it is a one-off precomputation, not per-batch work);
-        it is recorded in :attr:`build_seconds` instead.
-        """
-        if (keys is None) == (limit is None):
-            raise ValueError("pass exactly one of keys= or limit=")
-        if chunk < 1:
-            raise ValueError("chunk must be positive")
-        if keys is None:
-            if limit < 1:
-                raise ValueError("limit must be positive")
-            key_array = None
-            num_keys = int(limit)
-        else:
-            key_array = np.unique(np.asarray(keys, dtype=np.uint64))
-            num_keys = int(key_array.size)
-            if num_keys == 0:
-                raise ValueError("keys must be non-empty")
-        local_dtype = plan.local_row_dtype
-        nbytes = num_keys * plan.row_width * np.dtype(local_dtype).itemsize
-        if nbytes > _DENSE_MAX_BYTES:
-            raise ValueError(
-                f"dense table would need {nbytes / (1 << 30):.1f} GiB "
-                f"(> {_DENSE_MAX_BYTES >> 30} GiB); shrink the domain limit "
-                "or hot-key budget"
-            )
-        started = time.perf_counter()
-        offsets = plan.row_offsets
-        rows = np.empty((num_keys, plan.row_width), dtype=local_dtype)
-        for start in range(0, num_keys, chunk):
-            stop = min(start + chunk, num_keys)
-            if key_array is None:
-                block = np.arange(start, stop, dtype=np.uint64)
-            else:
-                block = key_array[start:stop]
-            rows[start:stop] = plan._hash_rows(block) - offsets[None, :]
-        return cls(
-            rows, keys=key_array, build_seconds=time.perf_counter() - started
-        )
-
 
 @dataclass(frozen=True)
 class HashPlanStats:
     """Point-in-time counters of one :class:`HashPlan` (cheap snapshot).
 
-    ``hits``/``misses`` count *LRU lookups* (one per non-dense element per
-    batch, across all families sharing the plan); ``dense_hits`` counts
-    elements served by a gather from an attached
-    :class:`DenseScatterTable` (they never touch the LRU, so they appear
-    in neither ``hits`` nor ``misses``).
-
-    The four time fields split two ways.  ``hash_seconds`` /
-    ``scatter_seconds`` are *busy* wall-clock: intervals are de-overlapped
-    across threads (see :class:`PlanTimers`), so within one process they
-    can never exceed the elapsed time of the run that produced them.
-    ``hash_cpu_seconds`` / ``scatter_cpu_seconds`` are the plain
-    per-thread sums — the "total work" figure, which legitimately exceeds
-    elapsed time when shards hash in parallel.  Roll-ups across worker
-    *processes* (:meth:`merged_with`) sum both kinds; a summed busy figure
-    spanning several processes is therefore cpu-style again, and the
-    process backend reports it accordingly (see
-    :meth:`repro.streams.sharded.ShardedEngine.stats`).
+    ``hits``/``misses`` count *LRU lookups* (one per element per batch,
+    across all families sharing the plan).  ``hash_seconds`` /
+    ``scatter_seconds`` are the wall-clock time spent hashing and
+    scattering, summed over every thread that used the plan.
     """
 
     hits: int = 0
@@ -409,61 +102,22 @@ class HashPlanStats:
     capacity: int = 0
     hash_seconds: float = 0.0
     scatter_seconds: float = 0.0
-    dense_hits: int = 0
-    dense_entries: int = 0
-    hash_cpu_seconds: float = 0.0
-    scatter_cpu_seconds: float = 0.0
 
     @property
     def lookups(self) -> int:
-        """Total element lookups answered by the plan (dense included)."""
-        return self.hits + self.misses + self.dense_hits
+        """Total element lookups answered by the plan."""
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         """``hits / (hits + misses)``: the LRU hit rate (0.0 before any
-        lookup).  Dense gathers are excluded on both sides — the LRU
-        only ever sees the tail once a table is attached, and this ratio
-        keeps describing how well *it* is doing on what it serves."""
-        if self.hits + self.misses == 0:
+        lookup)."""
+        if self.lookups == 0:
             return 0.0
-        return self.hits / (self.hits + self.misses)
-
-    @property
-    def dense_rate(self) -> float:
-        """Fraction of all lookups served by the dense table."""
-        total = self.lookups
-        if total == 0:
-            return 0.0
-        return self.dense_hits / total
-
-    def merged_with(self, other: "HashPlanStats") -> "HashPlanStats":
-        """Counter-wise sum (roll-up across per-shard or per-process plans).
-
-        Summing turns the busy-clock fields into cpu-style figures when
-        the operands timed overlapping intervals — callers that hold a
-        shared :class:`PlanTimers` should overwrite the time fields of
-        the roll-up from one ``timers.snapshot()`` instead (the sharded
-        engine does).
-        """
-        return HashPlanStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            bypasses=self.bypasses + other.bypasses,
-            entries=self.entries + other.entries,
-            capacity=self.capacity + other.capacity,
-            hash_seconds=self.hash_seconds + other.hash_seconds,
-            scatter_seconds=self.scatter_seconds + other.scatter_seconds,
-            dense_hits=self.dense_hits + other.dense_hits,
-            dense_entries=self.dense_entries + other.dense_entries,
-            hash_cpu_seconds=self.hash_cpu_seconds + other.hash_cpu_seconds,
-            scatter_cpu_seconds=self.scatter_cpu_seconds
-            + other.scatter_cpu_seconds,
-        )
+        return self.hits / self.lookups
 
     def to_json_dict(self) -> dict:
-        """Plain-JSON form (benchmark reports, worker sync messages)."""
+        """Plain-JSON form (benchmark reports)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -474,33 +128,7 @@ class HashPlanStats:
             "hit_rate": self.hit_rate,
             "hash_seconds": self.hash_seconds,
             "scatter_seconds": self.scatter_seconds,
-            "dense_hits": self.dense_hits,
-            "dense_entries": self.dense_entries,
-            "dense_rate": self.dense_rate,
-            "hash_cpu_seconds": self.hash_cpu_seconds,
-            "scatter_cpu_seconds": self.scatter_cpu_seconds,
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "HashPlanStats":
-        return cls(
-            hits=int(payload["hits"]),
-            misses=int(payload["misses"]),
-            evictions=int(payload["evictions"]),
-            bypasses=int(payload.get("bypasses", 0)),
-            entries=int(payload["entries"]),
-            capacity=int(payload["capacity"]),
-            hash_seconds=float(payload["hash_seconds"]),
-            scatter_seconds=float(payload["scatter_seconds"]),
-            dense_hits=int(payload.get("dense_hits", 0)),
-            dense_entries=int(payload.get("dense_entries", 0)),
-            hash_cpu_seconds=float(
-                payload.get("hash_cpu_seconds", payload["hash_seconds"])
-            ),
-            scatter_cpu_seconds=float(
-                payload.get("scatter_cpu_seconds", payload["scatter_seconds"])
-            ),
-        )
 
 
 class HashPlan:
@@ -518,11 +146,6 @@ class HashPlan:
     cache_size:
         Bound on the element → index-row cache, in entries; ``0`` disables
         caching (every batch is hashed from scratch).
-    timers:
-        The :class:`PlanTimers` charged for hashing and scattering.  By
-        default each plan owns a private instance; pass a shared one to
-        make several plans (e.g. the sharded engine's per-shard plans)
-        report one de-overlapped wall-clock account.
     """
 
     __slots__ = (
@@ -541,9 +164,8 @@ class HashPlan:
         "_misses",
         "_evictions",
         "_bypasses",
-        "_dense",
-        "_dense_hits",
-        "_timers",
+        "_hash_seconds",
+        "_scatter_seconds",
     )
 
     def __init__(
@@ -551,7 +173,6 @@ class HashPlan:
         hashes: Sequence[SketchHashes],
         shape: SketchShape,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        timers: PlanTimers | None = None,
     ) -> None:
         if not hashes:
             raise ValueError("a hash plan needs at least one sketch's hashes")
@@ -583,10 +204,11 @@ class HashPlan:
         flat_cells = self.num_sketches * shape.num_levels * shape.num_second_level * 2
         self._row_dtype = np.int32 if flat_cells <= np.iinfo(np.int32).max else np.int64
         # element → slot (recency-ordered); slot → row in a growable buffer.
-        # The lock guards the cache maps and counters: one plan can be
-        # shared across every family of a spec, and an eviction must not
-        # reuse a slot another thread is still copying from.  Hashing
-        # itself (the expensive part) runs outside the lock.
+        # The lock guards the cache maps and counters: one plan is shared
+        # across every family of a spec (and every engine of the process),
+        # and an eviction must not reuse a slot another thread is still
+        # copying from.  Hashing itself (the expensive part) runs outside
+        # the lock.
         self._slots: OrderedDict[int, int] = OrderedDict()
         self._rows = np.empty((0, self.row_width), dtype=self._row_dtype)
         self._lock = threading.Lock()
@@ -594,16 +216,10 @@ class HashPlan:
         self._misses = 0
         self._evictions = 0
         self._bypasses = 0
-        self._dense: DenseScatterTable | None = None
-        self._dense_hits = 0
-        self._timers = timers if timers is not None else PlanTimers()
+        self._hash_seconds = 0.0
+        self._scatter_seconds = 0.0
 
     # -- hashing -----------------------------------------------------------
-
-    @property
-    def timers(self) -> PlanTimers:
-        """The (possibly shared) time accounting of this plan."""
-        return self._timers
 
     def _hash_rows(self, elements: np.ndarray) -> np.ndarray:
         """The untimed hashing kernel behind :meth:`compute_rows`."""
@@ -653,11 +269,13 @@ class HashPlan:
         ``(n,)`` temporaries stay cache-resident.
         """
         elements = np.asarray(elements, dtype=np.uint64)
-        entered = self._timers.hash.enter()
+        started = time.perf_counter()
         try:
             return self._hash_rows(elements)
         finally:
-            self._timers.hash.exit(entered)
+            elapsed = time.perf_counter() - started
+            with self._lock:
+                self._hash_seconds += elapsed
 
     def bucket_keys(self, rows: np.ndarray) -> np.ndarray:
         """Per-(element, sketch) first-level bucket keys from index rows.
@@ -675,148 +293,6 @@ class HashPlan:
         first_cells = rows.reshape(n, self.num_sketches, s)[:, :, 0]
         # cell = ((k·L + level)·s + 0)·2 + bit  ⇒  (cell >> 1) // s
         return (first_cells >> 1) // s
-
-    # -- per-sketch-local row layout ---------------------------------------
-
-    @property
-    def cells_per_sketch(self) -> int:
-        """Counter cells per member sketch (``levels·s·2``)."""
-        return self.shape.num_levels * self.shape.num_second_level * 2
-
-    @property
-    def local_row_dtype(self) -> type:
-        """Narrowest dtype holding per-sketch-local cell ids.
-
-        Local ids are always ``< cells_per_sketch``; ``uint16`` covers
-        every practical shape (the global :attr:`row_width` dtype is the
-        fallback for pathological ones).
-        """
-        if self.cells_per_sketch <= np.iinfo(np.uint16).max + 1:
-            return np.uint16
-        return self._row_dtype
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        """Per-column sketch offsets ``k·cells``, shape ``(row_width,)``.
-
-        ``global_row = local_row + row_offsets`` column-wise; used when
-        converting between the two layouts.
-        """
-        s = self.shape.num_second_level
-        sketch_ids = np.arange(self.num_sketches, dtype=self._row_dtype)
-        return np.repeat(sketch_ids * self._row_dtype(self.cells_per_sketch), s)
-
-    def globalize_rows(self, local_rows: np.ndarray) -> np.ndarray:
-        """Convert per-sketch-local rows to global flat-cell rows."""
-        return local_rows.astype(self._row_dtype) + self.row_offsets[None, :]
-
-    def scatter_local(
-        self, target: np.ndarray, local_rows: np.ndarray, scale: int = 1
-    ) -> None:
-        """Add ``scale`` into flat int64 ``target`` at local-id rows.
-
-        The per-sketch histogram loop of :meth:`scatter` without the
-        offset subtraction — local ids feed ``bincount`` directly, which
-        is what makes scattering gathered dense-table rows cheaper than
-        scattering the same rows in global layout.  Exact int64, so the
-        counters come out bit-identical either way.
-        """
-        s = self.shape.num_second_level
-        cells = self.cells_per_sketch
-        grouped = local_rows.reshape(local_rows.shape[0], self.num_sketches, s)
-        for k in range(self.num_sketches):
-            binned = np.bincount(grouped[:, k, :].ravel(), minlength=cells)
-            slab = target[k * cells : (k + 1) * cells]
-            slab += binned if scale == 1 else binned * scale
-
-    def bucket_keys_local(self, local_rows: np.ndarray) -> np.ndarray:
-        """:meth:`bucket_keys` for rows in per-sketch-local layout."""
-        n = local_rows.shape[0]
-        s = self.shape.num_second_level
-        first_cells = local_rows.reshape(n, self.num_sketches, s)[:, :, 0]
-        # local cell = (level·s + j)·2 + bit with j = 0 ⇒ (cell >> 1) // s
-        levels = (first_cells >> 1) // s
-        bases = np.arange(self.num_sketches, dtype=np.int64) * self.shape.num_levels
-        return levels.astype(np.int64) + bases[None, :]
-
-    # -- dense tables ------------------------------------------------------
-
-    @property
-    def dense_table(self) -> DenseScatterTable | None:
-        """The attached :class:`DenseScatterTable`, if any."""
-        return self._dense
-
-    def attach_dense(self, table: DenseScatterTable) -> None:
-        """Install a dense table (replacing any previous one).
-
-        The table must have been built from this plan's coins — rows of
-        the wrong width are rejected structurally, but callers building
-        tables by hand are on their honour beyond that (tables from
-        :meth:`ensure_dense_domain` / :meth:`ensure_dense_keys` /
-        :meth:`DenseScatterTable.build` are always right).
-        """
-        if table.rows.shape[1] != self.row_width:
-            raise IncompatibleSketchesError(
-                "dense table row width does not match this plan"
-            )
-        if table.rows.dtype != np.dtype(self.local_row_dtype):
-            raise IncompatibleSketchesError(
-                "dense table row dtype does not match this plan's "
-                "local-id layout"
-            )
-        with self._lock:
-            self._dense = table
-
-    def detach_dense(self) -> DenseScatterTable | None:
-        """Remove and return the attached dense table (None if absent)."""
-        with self._lock:
-            table, self._dense = self._dense, None
-            return table
-
-    def ensure_dense_domain(self, limit: int) -> DenseScatterTable:
-        """Attach (building if needed) a contiguous ``[0, limit)`` table.
-
-        Idempotent: an already-attached contiguous table covering at
-        least ``limit`` keys is kept as-is, so every engine over one spec
-        can call this at construction and only the first pays the build.
-        """
-        if limit < 1:
-            raise ValueError("limit must be positive")
-        if limit > self.shape.domain_size:
-            raise ValueError(
-                f"dense limit {limit} exceeds the domain size "
-                f"{self.shape.domain_size}"
-            )
-        with self._lock:
-            existing = self._dense
-        if existing is not None and existing.contiguous and existing.limit >= limit:
-            return existing
-        table = DenseScatterTable.build(self, limit=int(limit))
-        self.attach_dense(table)
-        return table
-
-    def ensure_dense_keys(self, keys: np.ndarray) -> DenseScatterTable:
-        """Attach (building if needed) a hot-key dictionary table.
-
-        Idempotent for an equal key set; a different key set replaces the
-        table (hot sets drift — last writer wins).
-        """
-        keys = np.unique(np.asarray(keys, dtype=np.uint64))
-        if keys.size == 0:
-            raise ValueError("keys must be non-empty")
-        if int(keys[-1]) >= self.shape.domain_size:
-            raise ValueError("keys contain elements outside [0, M)")
-        with self._lock:
-            existing = self._dense
-        if (
-            existing is not None
-            and not existing.contiguous
-            and np.array_equal(existing.keys, keys)
-        ):
-            return existing
-        table = DenseScatterTable.build(self, keys=keys)
-        self.attach_dense(table)
-        return table
 
     # -- scattering --------------------------------------------------------
 
@@ -844,23 +320,22 @@ class HashPlan:
 
     @contextmanager
     def time_scatter(self):
-        """Context manager charging its body to the scatter busy clock."""
-        entered = self._timers.scatter.enter()
+        """Context manager charging its body to the scatter clock."""
+        started = time.perf_counter()
         try:
             yield
         finally:
-            self._timers.scatter.exit(entered)
+            elapsed = time.perf_counter() - started
+            with self._lock:
+                self._scatter_seconds += elapsed
 
     def scatter_rows(self, elements: np.ndarray) -> np.ndarray | None:
-        """Index rows for a batch, gathered/cached/hashed as appropriate.
+        """Index rows for a batch, cached or hashed as appropriate.
 
         Returns the same ``(n, r·s)`` matrix as :meth:`compute_rows`.
-        With a dense table attached, covered elements come from one pure
-        table gather (no hashing, no LRU traffic, no per-element Python)
-        and only the uncovered tail goes through the cache path.  Rows
-        are returned by value semantics — callers must not mutate the
-        result if it may alias the cache or table (it never does: hits
-        and gathers are copied into a fresh output).
+        Rows are returned by value semantics — cache hits are copied into
+        a fresh output, so callers may not (and need not) worry about
+        aliasing the cache.
 
         Returns ``None`` — "run classic per-sketch maintenance instead" —
         when the batch is a *scan flood*: more uncached elements than the
@@ -868,89 +343,19 @@ class HashPlan:
         beat per-sketch hashing.  Materialising (and thrashing the LRU
         with) rows that will never be reused costs more than it saves, so
         the plan declines; the decision is recorded in
-        :attr:`HashPlanStats.bypasses`.  A batch even partially covered
-        by a dense table never bypasses — gathered rows are already paid
-        for, so the tail is hashed without cache admission instead.
+        :attr:`HashPlanStats.bypasses`.
         """
         elements = np.asarray(elements, dtype=np.uint64)
-        n = elements.size
-        dense = self._dense
-        if dense is not None and n:
-            indices, covered = dense.locate(elements)
-            num_covered = int(covered.sum())
-            if num_covered == n:
-                with self._lock:
-                    self._dense_hits += n
-                return self.globalize_rows(dense.rows[indices])
-            if num_covered:
-                out = self.globalize_rows(
-                    dense.rows[np.where(covered, indices, 0)]
-                )
-                tail = ~covered
-                tail_rows = self._lru_rows(elements[tail], allow_bypass=False)
-                out[tail] = tail_rows
-                with self._lock:
-                    self._dense_hits += num_covered
-                return out
-        return self._lru_rows(elements, allow_bypass=True)
-
-    def scatter_parts(self, elements: np.ndarray) -> ScatterParts | None:
-        """A batch's scatter input split dense/tail — the fast-path twin
-        of :meth:`scatter_rows`.
-
-        Covered elements stay in the dense table's per-sketch-local
-        layout (one gather, no globalising pass); only the uncovered
-        tail is hashed/cached as global rows.  Callers scatter the two
-        parts separately — :meth:`scatter_local` for the dense rows,
-        :meth:`scatter` for the tail — which accumulates exactly the
-        same int64 cells as merging first.  Returns ``None`` for a scan
-        flood with no dense coverage, same contract as
-        :meth:`scatter_rows`.
-        """
-        elements = np.asarray(elements, dtype=np.uint64)
-        n = elements.size
-        dense = self._dense
-        if dense is not None and n:
-            indices, covered = dense.locate(elements)
-            num_covered = int(covered.sum())
-            if num_covered == n:
-                with self._lock:
-                    self._dense_hits += n
-                return ScatterParts(covered, dense.rows[indices], None)
-            if num_covered:
-                gathered = dense.rows[indices[covered]]
-                tail_rows = self._lru_rows(
-                    elements[~covered], allow_bypass=False
-                )
-                with self._lock:
-                    self._dense_hits += num_covered
-                return ScatterParts(covered, gathered, tail_rows)
-        rows = self._lru_rows(elements, allow_bypass=True)
-        if rows is None:
-            return None
-        return ScatterParts(None, None, rows)
-
-    def _lru_rows(
-        self, elements: np.ndarray, allow_bypass: bool
-    ) -> np.ndarray | None:
-        """The element-row LRU path behind :meth:`scatter_rows`.
-
-        With ``allow_bypass=False`` a scan flood still counts a bypass
-        but computes the rows anyway (skipping cache admission, so the
-        flood cannot thrash the LRU) instead of returning ``None``.
-        """
         n = elements.size
         if self.cache_size == 0:
-            if n > STACKED_HASH_MAX and allow_bypass:
-                with self._lock:
-                    self._bypasses += 1
-                return None
             with self._lock:
+                if n > STACKED_HASH_MAX:
+                    self._bypasses += 1
+                    return None
                 self._misses += n
             return self.compute_rows(elements)
 
         out = np.empty((n, self.row_width), dtype=self._row_dtype)
-        store = True
         # Phase 1 (locked): partition into hits/misses and copy the hit
         # rows out while their slots are pinned — an eviction by another
         # thread after the lock drops can no longer corrupt them.
@@ -976,9 +381,7 @@ class HashPlan:
                 and misses > len(hit_positions)
             ):
                 self._bypasses += 1
-                if allow_bypass:
-                    return None
-                store = False  # flood behind a dense table: hash, don't admit
+                return None
             self._hits += len(hit_positions)
             self._misses += misses
             if hit_positions:
@@ -987,7 +390,7 @@ class HashPlan:
         if miss_positions:
             fresh = self.compute_rows(elements[miss_positions])
             out[miss_positions] = fresh
-            if store and misses < self.cache_size:
+            if misses < self.cache_size:
                 # Phase 3 (locked): publish the fresh rows.  _store
                 # re-checks for duplicates, so a concurrent insert of the
                 # same element is harmless.
@@ -1029,56 +432,11 @@ class HashPlan:
             and np.array_equal(self._flips, other._flips)
         )
 
-    def sibling(self, cache_size: int | None = None) -> "HashPlan":
-        """A new plan over the same coins with a private LRU.
-
-        The sibling shares this plan's :class:`PlanTimers` (one
-        de-overlapped wall-clock account) and its dense table object, if
-        any (tables are immutable, so sharing is free) — but owns its own
-        element-row cache and hit/miss counters.  This is the sharded
-        engine's per-shard plan construction: shards own disjoint element
-        slices, so private caches stop them evicting each other's rows.
-        """
-        plan = HashPlan.__new__(HashPlan)
-        plan.shape = self.shape
-        plan.num_sketches = self.num_sketches
-        plan.row_width = self.row_width
-        plan.cache_size = self.cache_size if cache_size is None else cache_size
-        if plan.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
-        plan._coeffs = self._coeffs
-        plan._masks = self._masks
-        plan._flips = self._flips
-        plan._row_dtype = self._row_dtype
-        plan._slots = OrderedDict()
-        plan._rows = np.empty((0, plan.row_width), dtype=plan._row_dtype)
-        plan._lock = threading.Lock()
-        plan._hits = 0
-        plan._misses = 0
-        plan._evictions = 0
-        plan._bypasses = 0
-        plan._dense = self._dense
-        plan._dense_hits = 0
-        plan._timers = self._timers
-        return plan
-
     # -- bookkeeping -------------------------------------------------------
-
-    def note_scatter_seconds(self, seconds: float) -> None:
-        """Credit externally measured scatter wall-clock.
-
-        Kept for callers that time around their own scatter loop; prefer
-        :meth:`time_scatter`, which de-overlaps across threads (this
-        method only avoids double-counting when no timed scatter is
-        currently in flight).
-        """
-        self._timers.scatter.add_exclusive(seconds)
 
     def stats(self) -> HashPlanStats:
         """A frozen snapshot of the plan's cache and timing counters."""
-        hash_busy, scatter_busy, hash_cpu, scatter_cpu = self._timers.snapshot()
         with self._lock:
-            dense = self._dense
             return HashPlanStats(
                 hits=self._hits,
                 misses=self._misses,
@@ -1086,34 +444,25 @@ class HashPlan:
                 bypasses=self._bypasses,
                 entries=len(self._slots),
                 capacity=self.cache_size,
-                hash_seconds=hash_busy,
-                scatter_seconds=scatter_busy,
-                dense_hits=self._dense_hits,
-                dense_entries=0 if dense is None else dense.num_keys,
-                hash_cpu_seconds=hash_cpu,
-                scatter_cpu_seconds=scatter_cpu,
+                hash_seconds=self._hash_seconds,
+                scatter_seconds=self._scatter_seconds,
             )
 
     def clear_cache(self) -> None:
-        """Drop every cached LRU row (counters and any dense table kept)."""
+        """Drop every cached row (counters kept)."""
         with self._lock:
             self._slots.clear()
             self._rows = np.empty((0, self.row_width), dtype=self._row_dtype)
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/timing counters (cache kept).
-
-        Resets the plan's :class:`PlanTimers` too — shared-timer siblings
-        (see :meth:`sibling`) observe the reset, by design: the timers
-        are one account.
-        """
+        """Zero the hit/miss/eviction/timing counters (cache kept)."""
         with self._lock:
             self._hits = 0
             self._misses = 0
             self._evictions = 0
             self._bypasses = 0
-            self._dense_hits = 0
-        self._timers.reset()
+            self._hash_seconds = 0.0
+            self._scatter_seconds = 0.0
 
 
 @lru_cache(maxsize=32)
@@ -1124,10 +473,10 @@ def _shared_plan(spec: "SketchSpec") -> HashPlan:
 def plan_for(spec: "SketchSpec") -> HashPlan:
     """The shared :class:`HashPlan` of a spec (memoised per distinct spec).
 
-    Every family built from an equal spec — across streams, engines, and
-    in-process shards — receives the *same* plan object, so the element
-    cache is shared exactly as far as the coins are: two different specs
-    never observe each other's cache state (their keys differ, so they
-    get distinct plans).
+    Every family built from an equal spec — across streams and engines —
+    receives the *same* plan object, so the element cache is shared
+    exactly as far as the coins are: two different specs never observe
+    each other's cache state (their keys differ, so they get distinct
+    plans).
     """
     return _shared_plan(spec)

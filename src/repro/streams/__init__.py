@@ -1,13 +1,11 @@
 """Update-stream processing substrate: data model, engine, exact store,
-sources, checkpointing, sharded parallel ingest, the distributed-sites
-model, and the multi-tenant query serving front end."""
+sources, checkpointing, the distributed-sites model, and the
+multi-tenant query serving front end."""
 
 from repro.streams.checkpoint import (
     CheckpointError,
     checkpoint_engine,
-    checkpoint_sharded_engine,
     restore_engine,
-    restore_sharded_engine,
 )
 from repro.streams.continuous import (
     ContinuousQueryProcessor,
@@ -25,8 +23,6 @@ from repro.streams.serving import (
     TenantSpec,
     TokenBucket,
 )
-from repro.streams.sharded import ShardedEngine, shard_for, shard_vector
-from repro.streams.stats import IngestStats, ShardStats
 from repro.streams.sources import (
     UpdateLogError,
     load_updates,
@@ -42,9 +38,7 @@ __all__ = [
     "StandingQuery",
     "CheckpointError",
     "checkpoint_engine",
-    "checkpoint_sharded_engine",
     "restore_engine",
-    "restore_sharded_engine",
     "Coordinator",
     "StreamSite",
     "StreamEngine",
@@ -54,11 +48,6 @@ __all__ = [
     "ServingStats",
     "TenantSpec",
     "TokenBucket",
-    "ShardedEngine",
-    "shard_for",
-    "shard_vector",
-    "IngestStats",
-    "ShardStats",
     "ExactStreamStore",
     "UpdateLogError",
     "load_updates",

@@ -41,14 +41,8 @@ retained for.
 Format-1 (raw names, no mapping) and format-2 (in-place writes)
 checkpoints are still restorable through the manifest's file map.
 
-Sharded engines (:class:`~repro.streams.sharded.ShardedEngine`) checkpoint
-through the same format — :func:`checkpoint_sharded_engine` writes one
-payload per *(shard, stream)* slice plus the shard layout, and
-:func:`restore_sharded_engine` rebuilds each slice in place so a restored
-engine keeps ingesting with the same partitioning.  A sharded checkpoint
-is also a superset of the flat format: :func:`restore_engine` on one
-yields a single :class:`~repro.streams.engine.StreamEngine` holding the
-merged synopses (linearity again).
+Checkpoints of the removed sharded engine (a manifest with a ``shards``
+key) are refused with a :class:`CheckpointError` naming that layout.
 
 The counters are the only state; hash functions regenerate from the spec
 seed, so checkpoints are small and portable across machines.
@@ -62,15 +56,13 @@ import pathlib
 from typing import Iterable, Mapping
 from urllib.parse import quote
 
-from repro.core.family import SketchFamily, SketchSpec, sum_families
+from repro.core.family import SketchFamily, SketchSpec
 from repro.errors import ReproError
 from repro.streams.engine import StreamEngine
 
 __all__ = [
     "checkpoint_engine",
     "restore_engine",
-    "checkpoint_sharded_engine",
-    "restore_sharded_engine",
     "read_checkpoint_extra",
     "read_checkpoint_spec",
     "write_checkpoint_files",
@@ -170,7 +162,7 @@ def _write_stream_payloads(
 def _publish(directory, manifest: dict, named_payloads) -> None:
     """Write one checkpoint generation and make it the current one.
 
-    The single writer behind every layout (flat, sharded, windowed):
+    The single writer behind every layout (flat and windowed):
     payloads first, each fsynced under a name unique to the new
     generation; then the manifest through a fsynced temporary file and
     ``os.replace``; then a directory fsync.  Files the new manifest no
@@ -279,7 +271,7 @@ def checkpoint_engine(
         (name, engine.family(name).to_bytes()) for name in stream_names
     ]
     extra = dict(extra) if extra else {}
-    if getattr(engine, "is_windowed", False):
+    if engine.is_windowed:
         extra["windows"], bucket_payloads = engine.window_state()
         named_payloads.extend(
             (_window_key(key), payload) for key, payload in bucket_payloads
@@ -308,15 +300,36 @@ def read_checkpoint_spec(directory: str | pathlib.Path) -> SketchSpec:
     under, without restoring any counters.
 
     Lets a consumer build its own fold target first — e.g. a
-    coordinator restoring into a factory-built
-    :class:`~repro.streams.sharded.ShardedEngine` — and then adopt the
-    restored families into it.
+    coordinator restoring into a factory-built engine — and then adopt
+    the restored families into it.
     """
-    manifest = _load_manifest(pathlib.Path(directory))
+    return _manifest_spec(_load_manifest(pathlib.Path(directory)))
+
+
+def _manifest_spec(manifest: dict) -> SketchSpec:
     try:
         return SketchSpec.from_json_dict(manifest["spec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"manifest spec is unusable: {exc}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"manifest spec is unusable: {exc!r}") from exc
+
+
+def _manifest_streams(manifest: dict) -> list[str]:
+    streams = manifest.get("streams")
+    if not isinstance(streams, list) or not all(
+        isinstance(name, str) for name in streams
+    ):
+        raise CheckpointError("manifest 'streams' is not a list of names")
+    return streams
+
+
+def _manifest_updates(manifest: dict) -> int:
+    updates = manifest.get("updates_processed", 0)
+    if type(updates) is not int or updates < 0:
+        raise CheckpointError(
+            f"manifest 'updates_processed' is not a non-negative integer: "
+            f"{updates!r}"
+        )
+    return updates
 
 
 def _load_manifest(directory: pathlib.Path) -> dict:
@@ -327,6 +340,8 @@ def _load_manifest(directory: pathlib.Path) -> dict:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version not in _READABLE_VERSIONS:
         raise CheckpointError(
@@ -385,10 +400,10 @@ def restore_engine(
 ) -> StreamEngine:
     """Rebuild a live engine from a checkpoint directory.
 
-    Accepts flat checkpoints (format 1, 2 or 3) and sharded checkpoints —
-    for the latter the per-shard slices of each stream are summed into
-    one family per stream, which by linearity is exactly the synopsis of
-    the full stream.
+    Accepts checkpoints of format 1, 2 or 3.  A malformed manifest — a
+    missing or unusable ``spec``, a ``streams`` entry that is not a list
+    of names, a non-integer ``updates_processed``, or the removed sharded
+    layout — raises :class:`CheckpointError`.
 
     A checkpoint written by a windowed engine restores as a windowed
     engine: the window config and ring clock come from
@@ -399,7 +414,14 @@ def restore_engine(
     """
     directory = pathlib.Path(directory)
     manifest = _load_manifest(directory)
-    spec = SketchSpec.from_json_dict(manifest["spec"])
+    if "shards" in manifest:
+        raise CheckpointError(
+            "the checkpoint holds the retired sharded layout (one payload "
+            "per shard and stream); it cannot be restored"
+        )
+    spec = _manifest_spec(manifest)
+    stream_names = _manifest_streams(manifest)
+    updates_processed = _manifest_updates(manifest)
     windows = _window_meta(manifest)
     if windows is None:
         engine = StreamEngine(spec, batch_size=batch_size)
@@ -411,17 +433,8 @@ def restore_engine(
             bucket_width=windows.get("bucket_width"),
             clock_policy=windows.get("clock_policy", "raise"),
         )
-    shards = manifest.get("shards")
-    for name in manifest["streams"]:
-        if shards is None:
-            family = _read_family(directory, manifest, name, spec)
-        else:
-            parts = [
-                _read_family(directory, manifest, slice_key, spec)
-                for slice_key in _slice_keys(manifest, name)
-            ]
-            family = sum_families(parts) if parts else spec.build()
-        engine.adopt_family(name, family)
+    for name in stream_names:
+        engine.adopt_family(name, _read_family(directory, manifest, name, spec))
     if windows is not None:
         files = manifest.get("stream_files", {})
         buckets_by_stream: dict[str, dict[int, SketchFamily]] = {}
@@ -435,110 +448,5 @@ def restore_engine(
                     )
             buckets_by_stream[stream] = decoded
         engine.restore_window_state(windows, buckets_by_stream)
-    engine.mark_replayed(int(manifest.get("updates_processed", 0)))
-    return engine
-
-
-# -- sharded engines ---------------------------------------------------------
-
-
-def _slice_name(shard: int, stream: str) -> str:
-    return f"shard{shard}/{stream}"
-
-
-def _slice_keys(manifest: dict, stream: str) -> list[str]:
-    """The per-shard payload keys recorded for ``stream``."""
-    return [
-        _slice_name(shard, stream)
-        for shard in range(int(manifest["shards"]))
-        if _slice_name(shard, stream) in manifest.get("stream_files", {})
-    ]
-
-
-def checkpoint_sharded_engine(
-    engine,
-    directory: str | pathlib.Path,
-    extra: dict | None = None,
-) -> None:
-    """Write a :class:`~repro.streams.sharded.ShardedEngine`'s state.
-
-    One payload per non-empty *(shard, stream)* slice, keyed
-    ``shard<i>/<stream>`` in the manifest's ``stream_files`` mapping (the
-    key goes through the same escaping as any stream name, so the ``/``
-    never reaches the filesystem).  ``extra`` rides in the manifest
-    exactly as for :func:`checkpoint_engine` — a coordinator leaf folding
-    into a sharded engine stores its per-site sequence map and uplink
-    state through the same field whichever fold target it runs.
-    """
-    engine.flush()
-    stream_names = engine.stream_names()
-    named_payloads = []
-    for stream in stream_names:
-        for shard, family in sorted(engine._iter_shard_families(stream)):
-            named_payloads.append(
-                (_slice_name(shard, stream), family.to_bytes())
-            )
-    manifest = {
-        "spec": engine.spec.to_json_dict(),
-        "streams": stream_names,
-        "updates_processed": engine.updates_processed,
-        "shards": engine.num_shards,
-    }
-    if extra:
-        manifest["extra"] = dict(extra)
-    _publish(directory, manifest, named_payloads)
-
-
-def restore_sharded_engine(
-    directory: str | pathlib.Path,
-    num_shards: int | None = None,
-    batch_size: int = 4096,
-    executor: str = "threads",
-):
-    """Rebuild a live :class:`~repro.streams.sharded.ShardedEngine`.
-
-    From a sharded checkpoint with the same shard count, every slice is
-    restored onto its original shard, so the restored engine's per-shard
-    state — not just the merged view — matches the checkpointed one.
-    From a flat checkpoint, or when ``num_shards`` differs, each stream's
-    merged family lands on shard 0 (safe by linearity; the partitioner
-    still routes *future* updates by element).
-    """
-    from repro.streams.sharded import ShardedEngine
-
-    directory = pathlib.Path(directory)
-    manifest = _load_manifest(directory)
-    spec = SketchSpec.from_json_dict(manifest["spec"])
-    checkpoint_shards = manifest.get("shards")
-    if num_shards is None:
-        num_shards = int(checkpoint_shards) if checkpoint_shards else 4
-    engine = ShardedEngine(
-        spec, num_shards=num_shards, batch_size=batch_size, executor=executor
-    )
-    try:
-        aligned = checkpoint_shards is not None and int(checkpoint_shards) == num_shards
-        for name in manifest["streams"]:
-            if aligned:
-                for shard in range(num_shards):
-                    key = _slice_name(shard, name)
-                    if key in manifest.get("stream_files", {}):
-                        engine.adopt_shard_family(
-                            shard, name, _read_family(directory, manifest, key, spec)
-                        )
-            elif checkpoint_shards is not None:
-                parts = [
-                    _read_family(directory, manifest, key, spec)
-                    for key in _slice_keys(manifest, name)
-                ]
-                engine.adopt_family(
-                    name, sum_families(parts) if parts else spec.build()
-                )
-            else:
-                engine.adopt_family(
-                    name, _read_family(directory, manifest, name, spec)
-                )
-        engine.mark_replayed(int(manifest.get("updates_processed", 0)))
-    except BaseException:
-        engine.close()
-        raise
+    engine.mark_replayed(updates_processed)
     return engine

@@ -217,15 +217,13 @@ class StreamSite:
     the export until :meth:`acknowledge` confirms the coordinator has it
     durably — a restarted coordinator re-syncs from the retained tail.
 
-    ``engine`` makes the summarised state pluggable: any object exposing
-    ``families() -> {stream: SketchFamily}`` can back a site — a
-    :class:`StreamEngine` (the default), a
-    :class:`~repro.streams.sharded.ShardedEngine` (parallel local
-    ingest), or a :class:`Coordinator` (a mid-tree coordinator
-    re-exporting its *aggregated* state to a parent — the uplink of a
-    federation tree).  Exports always diff against the per-stream
-    baseline of the previous export, so whatever the backing engine is,
-    consecutive exports never overlap and sum to the full state.
+    ``engine`` makes the summarised state pluggable: a
+    :class:`StreamEngine` (the default) or a :class:`Coordinator` (a
+    mid-tree coordinator re-exporting its *aggregated* state to a
+    parent — the uplink of a federation tree).  Exports always diff
+    against the per-stream baseline of the previous export, so whatever
+    the backing engine is, consecutive exports never overlap and sum to
+    the full state.
     """
 
     def __init__(
@@ -302,7 +300,7 @@ class StreamSite:
             window_at = float(window_at)
             if window_at != window_at:  # NaN
                 raise ValueError("window_at must not be NaN")
-        elif getattr(self._engine, "is_windowed", False):
+        elif self._engine.is_windowed:
             clock = self._engine.window_clock
             if clock != float("-inf"):
                 window_at = clock
@@ -449,17 +447,16 @@ class Coordinator:
 
     The fold target is pluggable: by default the coordinator keeps a
     plain per-stream :class:`~repro.core.family.SketchFamily` map, but
-    ``engine`` accepts any engine exposing ``merge_delta`` /
-    ``families`` / ``stream_names`` / ``adopt_family`` / ``query`` /
-    ``query_union`` — in particular a
-    :class:`~repro.streams.sharded.ShardedEngine`, so a leaf
-    coordinator of a federation tree folds incoming network deltas
-    across parallel shards while queries still merge exactly by
-    linearity.  Sequence/incarnation bookkeeping is identical either
-    way; only where the counters land differs.
+    ``engine`` accepts a :class:`StreamEngine` — e.g. a windowed one, so
+    a coordinator of a federation tree buckets incoming network deltas
+    by time and answers windowed queries.  Sequence/incarnation
+    bookkeeping is identical either way; only where the counters land
+    differs.
     """
 
-    def __init__(self, spec: SketchSpec, *, engine=None) -> None:
+    def __init__(
+        self, spec: SketchSpec, *, engine: StreamEngine | None = None
+    ) -> None:
         self.spec = spec
         self._engine = engine
         self._families: dict[str, SketchFamily] = {}
@@ -588,10 +585,7 @@ class Coordinator:
                 return
             incoming = SketchFamily.from_cells(indices, values, self.spec)
         if self._engine is not None:
-            if at is not None and getattr(self._engine, "is_windowed", False):
-                self._engine.merge_delta(stream, incoming, at=at)
-            else:
-                self._engine.merge_delta(stream, incoming)
+            self._engine.merge_delta(stream, incoming, at=at)
         elif stream in self._families:
             self._families[stream].merge_in_place(incoming)
         else:
@@ -666,7 +660,7 @@ class Coordinator:
     # -- queries -----------------------------------------------------------
 
     @property
-    def fold_engine(self):
+    def fold_engine(self) -> StreamEngine | None:
         """The pluggable fold target (``None`` for the plain family map)."""
         return self._engine
 
@@ -680,12 +674,14 @@ class Coordinator:
         watermark automatically — a mid-tree node forwards windowed
         state upward exactly like a leaf.
         """
-        return getattr(self._engine, "is_windowed", False)
+        return self._engine is not None and self._engine.is_windowed
 
     @property
     def window_clock(self) -> float:
         """The fold engine's window watermark (``-inf`` when unwindowed)."""
-        return getattr(self._engine, "window_clock", float("-inf"))
+        if self._engine is None:
+            return float("-inf")
+        return self._engine.window_clock
 
     def families(self) -> dict[str, SketchFamily]:
         """``stream -> merged synopsis`` (live objects, not copies).
@@ -716,9 +712,7 @@ class Coordinator:
             )
 
     def _check_windowed_query(self, window: float | None) -> None:
-        if window is not None and not getattr(
-            self._engine, "is_windowed", False
-        ):
+        if window is not None and not self.is_windowed:
             raise ValueError(
                 "windowed queries need a windowed fold engine; construct "
                 "the coordinator with engine=StreamEngine(spec, "
@@ -747,9 +741,7 @@ class Coordinator:
             expression = parse(expression)
         self._require_streams(expression.streams())
         if self._engine is not None:
-            if window is not None:
-                return self._engine.query(expression, epsilon, window=window)
-            return self._engine.query(expression, epsilon)
+            return self._engine.query(expression, epsilon, window=window)
         return estimate_expression(expression, self._families, epsilon)
 
     def query_union(
@@ -768,9 +760,7 @@ class Coordinator:
         names = list(stream_names)
         self._require_streams(names)
         if self._engine is not None:
-            if window is not None:
-                return self._engine.query_union(names, epsilon, window=window)
-            return self._engine.query_union(names, epsilon)
+            return self._engine.query_union(names, epsilon, window=window)
         families = [self._families[name] for name in names]
         return estimate_union(families, epsilon)
 
@@ -784,9 +774,9 @@ class Coordinator:
 
         With a :class:`StreamEngine` fold target this delegates to its
         batched :meth:`StreamEngine.query_many` (expressions over the
-        same stream set share one union estimate and one mask pass);
-        other targets fall back to per-expression :meth:`query`.  Either
-        way each answer is bit-identical to querying alone, and unknown
+        same stream set share one union estimate and one mask pass); the
+        plain family map evaluates each expression in turn.  Either way
+        each answer is bit-identical to querying alone, and unknown
         streams raise :class:`~repro.errors.UnknownStreamError` before
         anything is evaluated.
         """
@@ -799,16 +789,8 @@ class Coordinator:
         for expression in parsed:
             names.update(expression.streams())
         self._require_streams(names)
-        engine_many = getattr(self._engine, "query_many", None)
-        if engine_many is not None:
-            if window is not None:
-                return engine_many(parsed, epsilon, window=window)
-            return engine_many(parsed, epsilon)
         if self._engine is not None:
-            return [
-                self.query(expression, epsilon, window=window)
-                for expression in parsed
-            ]
+            return self._engine.query_many(parsed, epsilon, window=window)
         return [
             estimate_expression(expression, self._families, epsilon)
             for expression in parsed
@@ -819,18 +801,12 @@ class Coordinator:
         """A monotone snapshot token for the merged view.
 
         With a :class:`StreamEngine` fold target this is the engine's
-        own ``(updates_processed, mutation_epoch)`` pair; otherwise a
-        coordinator-level surrogate that advances with every applied
-        collect, so two queries answered at the same position saw the
-        same merged synopses.
+        own ``(updates_processed, mutation_epoch)`` pair; for the plain
+        family map it is the count of applied collects, so two queries
+        answered at the same position saw the same merged synopses.
         """
-        position = getattr(self._engine, "snapshot_position", None)
-        if position is not None:
-            return tuple(position)
         if self._engine is not None:
-            processed = getattr(self._engine, "updates_processed", 0)
-            merged = getattr(self._engine, "deltas_merged", 0)
-            return (processed + merged, 0)
+            return self._engine.snapshot_position
         return (self._collects_applied, 0)
 
     def to_engine(self, batch_size: int = 4096) -> StreamEngine:
@@ -838,15 +814,11 @@ class Coordinator:
 
         The engine adopts each merged family (shared storage) and can then
         keep ingesting updates — e.g. a coordinator that also tails a
-        local stream after the periodic collection round.  With a
-        pluggable fold engine the merged view is handed off instead: a
-        :class:`StreamEngine` fold target is returned as-is, a sharded
-        one through its ``merged_engine()`` (independent counter copies).
+        local stream after the periodic collection round.  A fold engine
+        is returned as-is.
         """
         if self._engine is not None:
-            if isinstance(self._engine, StreamEngine):
-                return self._engine
-            return self._engine.merged_engine(batch_size=batch_size)
+            return self._engine
         engine = StreamEngine(self.spec, batch_size=batch_size)
         for name, family in self._families.items():
             engine.adopt_family(name, family)

@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.core.checks import combined_singleton_union_mask, empty_mask
 from repro.core.expression import estimate_expression
 from repro.core.family import SketchFamily, SketchSpec, check_same_coins
@@ -101,25 +99,6 @@ class StreamEngine:
         keyed to the spec's coins, *all* streams of the engine share one
         plan: an element hashed for one stream is a cache hit for every
         other.  ``False`` restores the classic per-sketch path.
-    dense_domain:
-        Precompute a dense scatter table for the domain prefix
-        ``[0, dense_domain)`` on the shared plan (see
-        :meth:`~repro.core.plan.HashPlan.ensure_dense_domain`): elements
-        below the limit are then served by pure table gathers — no
-        hashing, no cache traffic — and only the tail touches the LRU.
-        Costs ``dense_domain · r · s · 2`` bytes up front (2 KiB per key
-        at the library default shape — rows are stored as
-        per-sketch-local uint16 ids); counters stay bit-identical.
-        Requires ``use_plan=True``.
-    hot_keys:
-        Learn a hot-key dictionary from the stream instead of assuming a
-        bounded prefix: the first ``hot_key_sample`` updates are sampled,
-        the ``hot_keys`` most frequent elements become a dense dictionary
-        table (:meth:`~repro.core.plan.HashPlan.ensure_dense_keys`), and
-        ingest proceeds as with ``dense_domain``.  Mutually exclusive
-        with ``dense_domain``; requires ``use_plan=True``.
-    hot_key_sample:
-        How many updates to observe before freezing the hot-key set.
     window_span:
         Enable sliding-window queries: each stream additionally maintains
         a :class:`~repro.streams.windows.WindowRing` of time-bucketed
@@ -145,25 +124,12 @@ class StreamEngine:
         spec: SketchSpec,
         batch_size: int = 4096,
         use_plan: bool = True,
-        dense_domain: int | None = None,
-        hot_keys: int = 0,
-        hot_key_sample: int = 65536,
         window_span: float | None = None,
         bucket_width: float | None = None,
         clock_policy: str = "raise",
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if dense_domain is not None and dense_domain < 1:
-            raise ValueError("dense_domain must be positive")
-        if hot_keys < 0:
-            raise ValueError("hot_keys must be non-negative")
-        if hot_key_sample < 1:
-            raise ValueError("hot_key_sample must be positive")
-        if dense_domain is not None and hot_keys:
-            raise ValueError("pass dense_domain or hot_keys, not both")
-        if (dense_domain is not None or hot_keys) and not use_plan:
-            raise ValueError("the dense fast path requires use_plan=True")
         if window_span is None:
             if bucket_width is not None:
                 raise ValueError("bucket_width requires window_span")
@@ -180,14 +146,6 @@ class StreamEngine:
         self.spec = spec
         self._batch_size = batch_size
         self._plan_arg = "auto" if use_plan else None
-        self._hot_keys = hot_keys
-        self._hot_key_sample = hot_key_sample
-        self._hot_samples: list[np.ndarray] | None = [] if hot_keys else None
-        self._hot_sampled = 0
-        if dense_domain is not None:
-            from repro.core.plan import plan_for
-
-            plan_for(spec).ensure_dense_domain(dense_domain)
         self._families: dict[str, SketchFamily] = {}
         self._buffers: dict[str, tuple[list[int], list[int]]] = {}
         self._updates_processed = 0
@@ -224,7 +182,7 @@ class StreamEngine:
         Equivalent to ``process`` per tuple — same buffers, same flush
         cadence, bit-identical counters — with the per-update method
         dispatch and bookkeeping hoisted out of the loop (the Python-level
-        overhead is a measurable slice of ingest at dense-path speeds).
+        overhead is a measurable slice of ingest).
         """
         buffers = self._buffers
         batch_size = self._batch_size
@@ -1054,35 +1012,9 @@ class StreamEngine:
         if not buffered or not buffered[0]:
             return
         elements, deltas = buffered
-        if self._hot_samples is not None:
-            self._observe_hot(elements)
         # ingest_batch aggregates the buffer by linearity (duplicates
         # collapse, churn cancels) before maintenance and routes through
         # the shared hash plan — bit-identical to update_batch, faster on
         # real (skewed, churning) traffic.
         self._family(stream).ingest_batch(elements, deltas, plan=self._plan_arg)
         self._buffers[stream] = ([], [])
-
-    def _observe_hot(self, elements: list[int]) -> None:
-        """Sample flushed elements until the hot-key dictionary freezes.
-
-        Maintenance itself never waits on learning: batches flow through
-        the LRU path until the sample threshold is reached, then the top
-        ``hot_keys`` elements become a dense table on the shared plan and
-        sampling stops.  The table only changes *which* mechanism serves
-        an element's index row, so counters are bit-identical before,
-        during, and after the switch.
-        """
-        self._hot_samples.append(np.asarray(elements, dtype=np.uint64))
-        self._hot_sampled += len(elements)
-        if self._hot_sampled < self._hot_key_sample:
-            return
-        sample = np.concatenate(self._hot_samples)
-        self._hot_samples = None  # freeze: one learned table per engine
-        unique, counts = np.unique(sample, return_counts=True)
-        if unique.size > self._hot_keys:
-            top = np.argpartition(counts, -self._hot_keys)[-self._hot_keys :]
-            unique = unique[top]
-        from repro.core.plan import plan_for
-
-        plan_for(self.spec).ensure_dense_keys(unique)

@@ -32,7 +32,7 @@ event loop), not parallel speedup.
 
 Coordinators compose into **federation trees**: a
 :class:`~repro.streams.net.coordinator.CoordinatorServer` can fold into
-a :class:`~repro.streams.sharded.ShardedEngine` (``engine_factory=``)
+a :class:`~repro.streams.engine.StreamEngine` (``engine_factory=``)
 and re-export its aggregated deltas to a parent coordinator through an
 uplink :class:`~repro.streams.net.site.SiteClient` (``parent_port=``) —
 the same sequence/retention/re-sync machinery at every hop, so the

@@ -25,11 +25,10 @@ a single-threaded loop, so no locks are needed.
 Two extensions make servers composable into **federation trees**
 (millions of sites cannot all terminate on one coordinator):
 
-* ``engine_factory=`` makes the fold target pluggable — a leaf
-  coordinator can fold network deltas into a
-  :class:`~repro.streams.sharded.ShardedEngine` (parallel merge across
-  shards) instead of a flat family map; queries still merge exactly by
-  linearity.
+* ``engine_factory=`` makes the fold target pluggable — a coordinator
+  can fold network deltas into a
+  :class:`~repro.streams.engine.StreamEngine` (e.g. a windowed one,
+  which buckets deltas by time) instead of a flat family map.
 * ``parent_host``/``parent_port`` give the server an **uplink**: a
   :class:`~repro.streams.distributed.StreamSite` backed by the
   coordinator's own aggregated state, shipped to a parent coordinator
@@ -57,7 +56,6 @@ from repro.core.family import SketchSpec
 from repro.streams.checkpoint import (
     CheckpointError,
     checkpoint_engine,
-    checkpoint_sharded_engine,
     prune_checkpoint_files,
     read_checkpoint_extra,
     read_checkpoint_file,
@@ -81,6 +79,29 @@ _UPLINK_DIR = "uplink"
 def _retained_file(incarnation: str, sequence: int) -> str:
     """File name (under ``uplink/``) of one retained uplink export."""
     return f"{quote(incarnation, safe='')}-{int(sequence)}.cells"
+
+
+def _site_sequences(extra: dict) -> list[tuple[str, str, int]]:
+    """The ``(site id, incarnation, sequence)`` triples of a checkpoint's
+    ``extra["site_sequences"]``, validated."""
+    sequences = extra.get(_SITE_SEQUENCES_KEY, {})
+    if not isinstance(sequences, dict) or not all(
+        isinstance(history, dict) for history in sequences.values()
+    ):
+        raise CheckpointError(
+            "manifest 'extra[\"site_sequences\"]' is not a mapping of "
+            "site id to {incarnation: sequence}"
+        )
+    triples = []
+    for site_id, history in sequences.items():
+        for incarnation, sequence in history.items():
+            if type(sequence) is not int or sequence < 0:
+                raise CheckpointError(
+                    f"site {site_id!r} has an unusable applied sequence "
+                    f"{sequence!r}"
+                )
+            triples.append((str(site_id), str(incarnation), sequence))
+    return triples
 
 
 def _restore_uplink_site(directory, state, coordinator) -> StreamSite:
@@ -138,13 +159,11 @@ class CoordinatorServer:
         Write a checkpoint after this many applied deltas (0 = only
         explicit :meth:`checkpoint` calls).
     engine_factory:
-        ``spec -> engine`` callable building the coordinator's fold
-        target (e.g. ``lambda spec: ShardedEngine(spec, num_shards=4)``).
+        ``spec -> StreamEngine`` callable building the coordinator's fold
+        target (e.g. ``lambda spec: StreamEngine(spec, window_span=60)``).
         ``None`` keeps the flat family-map fold.  Ignored when
         ``coordinator`` is given (the restore path wires the engine
-        itself).  The server never closes a factory-built engine — the
-        caller owns its lifecycle, so queries stay possible after
-        :meth:`stop`.
+        itself).
     parent_host, parent_port:
         Address of a parent coordinator.  When ``parent_port`` is set
         the server becomes a leaf in a federation tree: it runs an
@@ -294,18 +313,17 @@ class CoordinatorServer:
         reconnecting sites are greeted with exactly the sequence the
         restored state covers and re-ship everything newer.
 
-        ``engine_factory`` rebuilds the fold target (a sharded or flat
-        checkpoint restores into either — linearity makes the merged
-        families placement-free).  When the checkpoint carries uplink
-        state, the restored server keeps the same uplink incarnation,
-        sequence counter, and retained exports (read back from their
-        ``uplink/`` files), so the parent coordinator sees an unbroken
-        peer: retained exports re-ship bit-identically and nothing is
-        lost or double-applied.  The uplink's shipped baselines are the
-        restored families themselves (see :meth:`checkpoint`).  Pass the
-        same ``parent_port`` (and friends) as the original run.  Uplink
-        state written by the format-2 layout raises
-        :class:`~repro.streams.checkpoint.CheckpointError`.
+        ``engine_factory`` rebuilds the fold target.  When the
+        checkpoint carries uplink state, the restored server keeps the
+        same uplink incarnation, sequence counter, and retained exports
+        (read back from their ``uplink/`` files), so the parent
+        coordinator sees an unbroken peer: retained exports re-ship
+        bit-identically and nothing is lost or double-applied.  The
+        uplink's shipped baselines are the restored families themselves
+        (see :meth:`checkpoint`).  Pass the same ``parent_port`` (and
+        friends) as the original run.  Uplink state written by the
+        format-2 layout, and an ill-typed ``extra["site_sequences"]``,
+        raise :class:`~repro.streams.checkpoint.CheckpointError`.
 
         A checkpoint written by a *windowed* fold engine restores into
         that engine directly — the engine
@@ -336,12 +354,8 @@ class CoordinatorServer:
             for name, family in replay.families().items():
                 coordinator.adopt_family(name, family)
         extra = read_checkpoint_extra(checkpoint_dir)
-        sequences = extra.get(_SITE_SEQUENCES_KEY, {})
-        for site_id, history in sequences.items():
-            for incarnation, sequence in history.items():
-                coordinator.set_applied_sequence(
-                    str(site_id), str(incarnation), int(sequence)
-                )
+        for site_id, incarnation, sequence in _site_sequences(extra):
+            coordinator.set_applied_sequence(site_id, incarnation, sequence)
         uplink_state = extra.get(_UPLINK_KEY)
         uplink_files: set[str] = set()
         if uplink_state and kwargs.get("parent_port") is not None:
@@ -359,13 +373,8 @@ class CoordinatorServer:
             coordinator=coordinator, checkpoint_dir=checkpoint_dir, **kwargs
         )
         server._uplink_files = uplink_files
-        server._durable = {
-            str(site_id): {
-                str(incarnation): int(sequence)
-                for incarnation, sequence in history.items()
-            }
-            for site_id, history in sequences.items()
-        }
+        # Everything the checkpoint restored is durable by definition.
+        server._durable = coordinator.site_sequences()
         return server
 
     async def start(self) -> None:
@@ -519,13 +528,9 @@ class CoordinatorServer:
                     )
             write_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, unwritten)
             self._uplink_files.update(unwritten)
-        engine = self.coordinator.fold_engine
-        if engine is not None and hasattr(engine, "num_shards"):
-            checkpoint_sharded_engine(engine, self._checkpoint_dir, extra=extra)
-        else:
-            checkpoint_engine(
-                self.coordinator.to_engine(), self._checkpoint_dir, extra=extra
-            )
+        checkpoint_engine(
+            self.coordinator.to_engine(), self._checkpoint_dir, extra=extra
+        )
         prune_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, retained)
         self._uplink_files &= retained
         self._durable = {

@@ -3,11 +3,10 @@
 Everything below :mod:`repro.streams.net` feeds data *in* — sites ship
 delta exports, coordinators fold them, trees re-export upward.  This
 module is the path *out*: :class:`QueryServer` mounts an asyncio query
-service on any fold target (a :class:`~repro.streams.engine.StreamEngine`,
-a :class:`~repro.streams.distributed.Coordinator`, a
-:class:`~repro.streams.sharded.ShardedEngine`) and answers set-expression
-cardinality queries over the same length-framed protocol the ingest path
-speaks (``role: "query"`` in the hello; see
+service on a fold target (a :class:`~repro.streams.engine.StreamEngine`
+or a :class:`~repro.streams.distributed.Coordinator`) and answers
+set-expression cardinality queries over the same length-framed protocol
+the ingest path speaks (``role: "query"`` in the hello; see
 :mod:`repro.streams.net.protocol`), so one port discipline, one framing
 codec, and one strict-decoding posture cover both directions.
 
@@ -460,13 +459,13 @@ class _Pending:
 
 
 class QueryServer:
-    """Asyncio query service over any fold target.
+    """Asyncio query service over a fold target.
 
-    ``target`` needs ``query``/``query_union``/``stream_names`` (every
-    engine and coordinator in this repo); ``query_many`` and
-    ``snapshot_position`` are used when present and degraded around when
-    not.  See the module docstring for the consistency and batching
-    model.
+    ``target`` is a :class:`~repro.streams.engine.StreamEngine` or a
+    :class:`~repro.streams.distributed.Coordinator`: the server uses
+    their ``query``/``query_many``/``query_union``/``stream_names``,
+    ``is_windowed`` and ``snapshot_position``.  See the module docstring
+    for the consistency and batching model.
 
     ``batch_window`` (seconds) widens the micro-batch: requests are
     parked and drained together after at most that long.  The default
@@ -736,7 +735,7 @@ class QueryServer:
         if not 0 < request.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         if request.window is not None:
-            if not getattr(self.target, "is_windowed", False):
+            if not self.target.is_windowed:
                 raise ValueError(
                     "windowed queries need a windowed serving target"
                 )
@@ -850,7 +849,7 @@ class QueryServer:
                     self._drain_expressions(members, epsilon, window)
                 else:
                     self._drain_unions(members, epsilon, window)
-            position = list(self._snapshot_position())
+            position = list(self.target.snapshot_position)
         except Exception as exc:
             # A loop callback must never leak: fail every still-parked
             # request typed instead of stranding its handler forever.
@@ -871,18 +870,12 @@ class QueryServer:
         flat = [
             expression for pending in members for expression in pending.resolved
         ]
-        estimates = None
-        query_many = getattr(self.target, "query_many", None)
-        if query_many is not None:
-            try:
-                if window is not None:
-                    estimates = query_many(flat, epsilon, window=window)
-                else:
-                    estimates = query_many(flat, epsilon)
-            except Exception:
-                # Isolate the failure: re-evaluate per request below so
-                # one bad expression fails one request, not the batch.
-                estimates = None
+        try:
+            estimates = self.target.query_many(flat, epsilon, window=window)
+        except Exception:
+            # Isolate the failure: re-evaluate per request below so
+            # one bad expression fails one request, not the batch.
+            estimates = None
         if estimates is not None:
             cursor = iter(estimates)
             for pending in members:
@@ -891,38 +884,24 @@ class QueryServer:
         for pending in members:
             try:
                 pending.results = [
-                    self._query_one(expression, epsilon, window)
+                    self.target.query(expression, epsilon, window=window)
                     for expression in pending.resolved
                 ]
             except Exception as exc:
                 pending.future.set_exception(exc)
-
-    def _query_one(self, expression, epsilon, window):
-        if window is not None:
-            return self.target.query(expression, epsilon, window=window)
-        return self.target.query(expression, epsilon)
 
     def _drain_unions(
         self, members: list[_Pending], epsilon: float, window: float | None
     ) -> None:
         for pending in members:
             try:
-                if window is not None:
-                    result = self.target.query_union(
-                        pending.resolved, epsilon, window=window
-                    )
-                else:
-                    result = self.target.query_union(pending.resolved, epsilon)
+                result = self.target.query_union(
+                    pending.resolved, epsilon, window=window
+                )
             except Exception as exc:
                 pending.future.set_exception(exc)
             else:
                 pending.results = [result]
-
-    def _snapshot_position(self) -> tuple[int, int]:
-        position = getattr(self.target, "snapshot_position", None)
-        if position is not None:
-            return tuple(position)
-        return (int(getattr(self.target, "updates_processed", 0)), 0)
 
 
 # -- the client ---------------------------------------------------------------

@@ -1,17 +1,12 @@
-"""Ingest metrics for the sharded parallel-ingestion layer.
+"""Plain-data introspection snapshots of the stream-processing layers.
 
-The sharded engine (:mod:`repro.streams.sharded`) runs maintenance on
-several shards at once, so "how fast is ingest?" stops being one number:
-each shard has its own routed-update count, its own flush clock, and its
-own aggregation ratio, and the query path adds merge work on top.  The
-dataclasses here are the introspection surface — cheap plain-data
-snapshots, safe to read while ingestion continues.
-
-``ShardStats`` describes one shard; ``IngestStats`` is the engine-level
-roll-up returned by :meth:`repro.streams.sharded.ShardedEngine.stats`.
+:class:`QueryStats` counts the engine's query-cache outcomes,
+:class:`WindowStats` its window-ring rotations and expiries, and
+:class:`TransportStats` one peer's delta-shipping traffic.  Each is a
+cheap snapshot, safe to read while ingestion continues.
 :class:`~repro.core.plan.HashPlanStats` (re-exported here) reports the
 shared hash plan's element-row cache — hit rate, evictions, and the
-hash-vs-scatter time breakdown — via ``IngestStats.plan`` and
+hash-vs-scatter time breakdown — via
 :meth:`repro.streams.engine.StreamEngine.plan_stats`.
 """
 
@@ -22,8 +17,6 @@ from dataclasses import dataclass, field, replace
 from repro.core.plan import HashPlanStats
 
 __all__ = [
-    "ShardStats",
-    "IngestStats",
     "HashPlanStats",
     "QueryStats",
     "WindowStats",
@@ -242,142 +235,3 @@ def rollup_transport_stats(stats, site_id: str = "total") -> TransportStats:
     if total is None:
         return TransportStats(site_id=site_id, role="*")
     return replace(total, site_id=site_id)
-
-
-@dataclass(frozen=True)
-class ShardStats:
-    """Ingest counters of one worker shard (a point-in-time snapshot).
-
-    Attributes
-    ----------
-    shard_id:
-        Index of the shard in ``[0, num_shards)``.
-    updates_routed:
-        Update tuples the partitioner assigned to this shard.
-    updates_applied:
-        Distinct-element updates that reached counter maintenance after
-        the linearity aggregation step (duplicates collapse, exact
-        insert/delete churn cancels), so
-        ``updates_applied <= updates_routed``.
-    batches_flushed:
-        Number of buffered batches the shard's worker has executed.
-    flush_seconds:
-        Total wall-clock time the worker spent inside sketch maintenance.
-    streams:
-        Number of streams with synopsis state on this shard.
-    """
-
-    shard_id: int
-    updates_routed: int = 0
-    updates_applied: int = 0
-    batches_flushed: int = 0
-    flush_seconds: float = 0.0
-    streams: int = 0
-
-    @property
-    def aggregation_ratio(self) -> float:
-        """``updates_applied / updates_routed`` (1.0 when nothing routed).
-
-        Below 1.0 means the linearity aggregation is absorbing duplicate
-        or cancelling updates before they cost any hashing.
-        """
-        if self.updates_routed == 0:
-            return 1.0
-        return self.updates_applied / self.updates_routed
-
-    @property
-    def updates_per_second(self) -> float:
-        """Maintenance throughput of this shard (0.0 before any flush)."""
-        if self.flush_seconds <= 0.0:
-            return 0.0
-        return self.updates_routed / self.flush_seconds
-
-
-@dataclass(frozen=True)
-class IngestStats:
-    """Engine-level ingest/merge metrics for a sharded engine.
-
-    Attributes
-    ----------
-    shards:
-        One :class:`ShardStats` snapshot per shard, in shard order.
-    merges:
-        How many times the query path rebuilt merged per-stream synopses
-        (counter summation across shards).
-    merge_seconds:
-        Total wall-clock time spent in those merges.
-    plan:
-        Hash-plan counters, when plan-based maintenance is active.  Cache
-        counters (hits, misses, evictions, entries) are summed over the
-        per-shard plans; the busy-clock fields stay bounded by elapsed
-        wall time (in-process backends read the shards' shared
-        :class:`~repro.core.plan.PlanTimers` once, the ``"processes"``
-        backend reports the slowest worker as of the last
-        synchronisation), with the summed per-thread work in the
-        ``*_cpu_seconds`` fields.
-    """
-
-    shards: tuple[ShardStats, ...] = field(default_factory=tuple)
-    merges: int = 0
-    merge_seconds: float = 0.0
-    plan: HashPlanStats | None = None
-
-    @property
-    def updates_routed(self) -> int:
-        """Total update tuples routed across all shards."""
-        return sum(shard.updates_routed for shard in self.shards)
-
-    @property
-    def updates_applied(self) -> int:
-        """Total post-aggregation updates applied across all shards."""
-        return sum(shard.updates_applied for shard in self.shards)
-
-    @property
-    def aggregation_ratio(self) -> float:
-        """Fleet-wide ``updates_applied / updates_routed``."""
-        routed = self.updates_routed
-        if routed == 0:
-            return 1.0
-        return self.updates_applied / routed
-
-    @property
-    def busiest_shard(self) -> ShardStats | None:
-        """The shard with the most routed updates (None when empty)."""
-        if not self.shards:
-            return None
-        return max(self.shards, key=lambda shard: shard.updates_routed)
-
-    def as_table(self) -> str:
-        """A small ASCII table (one row per shard) for CLI output."""
-        lines = [
-            "shard  routed      applied     batches  flush_s   upd/s",
-        ]
-        for shard in self.shards:
-            lines.append(
-                f"{shard.shard_id:<6d} {shard.updates_routed:<11,d} "
-                f"{shard.updates_applied:<11,d} {shard.batches_flushed:<8d} "
-                f"{shard.flush_seconds:<9.3f} {shard.updates_per_second:,.0f}"
-            )
-        lines.append(
-            f"total  {self.updates_routed:,} routed, "
-            f"{self.updates_applied:,} applied "
-            f"(aggregation ×{self.aggregation_ratio:.2f}), "
-            f"{self.merges} merges in {self.merge_seconds:.3f}s"
-        )
-        plan = self.plan
-        if plan is not None and plan.lookups:
-            lines.append(
-                f"plan   {plan.hits:,}/{plan.hits + plan.misses:,} row-cache "
-                f"hits ({100 * plan.hit_rate:.0f}%), "
-                f"hash {plan.hash_seconds:.3f}s / "
-                f"scatter {plan.scatter_seconds:.3f}s busy "
-                f"({plan.hash_cpu_seconds:.3f}s / "
-                f"{plan.scatter_cpu_seconds:.3f}s cpu)"
-            )
-            if plan.dense_hits:
-                lines.append(
-                    f"dense  {plan.dense_hits:,}/{plan.lookups:,} table "
-                    f"gathers ({100 * plan.dense_rate:.0f}%), "
-                    f"{plan.dense_entries:,} precomputed rows"
-                )
-        return "\n".join(lines)

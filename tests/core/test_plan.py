@@ -15,10 +15,7 @@ from repro.core.family import SketchSpec
 from repro.core.plan import (
     DEFAULT_CACHE_SIZE,
     STACKED_HASH_MAX,
-    DenseScatterTable,
     HashPlan,
-    HashPlanStats,
-    ScatterParts,
     plan_for,
 )
 from repro.core.sketch import SketchShape
@@ -35,6 +32,14 @@ def mixed_workload(rng, size: int, domain: int):
     """Skewed elements with insert/delete churn (hot head repeats)."""
     elements = (rng.zipf(1.3, size=size) - 1) % domain
     counts = rng.choice(np.asarray([-2, -1, 1, 1, 3], dtype=np.int64), size)
+    return elements.astype(np.uint64), counts
+
+
+def zipf_unit_workload(rng, size: int, domain: int):
+    """Zipf(1.2) elements with unit deltas, 30% of them deletions — the
+    shape of the end-to-end ``ingest`` traffic."""
+    elements = (rng.zipf(1.2, size=size) - 1) % domain
+    counts = np.where(rng.random(size) < 0.7, 1, -1).astype(np.int64)
     return elements.astype(np.uint64), counts
 
 
@@ -149,10 +154,18 @@ class TestMaintenanceEquivalence:
         assert applied_plan == applied_sketch
         assert np.array_equal(via_plan.counters, via_sketch.counters)
 
-    def test_engines_bit_identical_across_shards(self):
-        """StreamEngine and ShardedEngine (plan on/off) all agree."""
+    @pytest.mark.parametrize(
+        "workload,num_streams,domain",
+        [
+            (mixed_workload, 2, 1 << 10),
+            (zipf_unit_workload, 3, SHAPE.domain_size),
+        ],
+        ids=["mixed", "zipf-deletions"],
+    )
+    def test_engines_bit_identical(self, workload, num_streams, domain):
+        """StreamEngine on the plan path agrees with the legacy path,
+        across several flushes per stream."""
         from repro.streams.engine import StreamEngine
-        from repro.streams.sharded import ShardedEngine
         from repro.streams.updates import Update
 
         s = spec(8, seed=6)
@@ -160,26 +173,15 @@ class TestMaintenanceEquivalence:
         updates = [
             Update(f"S{int(which)}", int(element), int(delta))
             for which, (element, delta) in zip(
-                rng.integers(0, 2, size=3000),
-                zip(*mixed_workload(rng, 3000, 1 << 10)),
+                rng.integers(0, num_streams, size=3000),
+                zip(*workload(rng, 3000, domain)),
             )
         ]
-        reference = StreamEngine(s, use_plan=False)
+        reference = StreamEngine(s, batch_size=256, use_plan=False)
         reference.process_many(updates)
-        reference.flush()
-        planned = StreamEngine(s, use_plan=True)
+        planned = StreamEngine(s, batch_size=256, use_plan=True)
         planned.process_many(updates)
-        planned.flush()
-        for num_shards in (1, 3):
-            with ShardedEngine(
-                s, num_shards=num_shards, batch_size=256, executor="serial"
-            ) as sharded:
-                sharded.process_many(updates)
-                for name in reference.stream_names():
-                    assert np.array_equal(
-                        sharded.family(name).counters,
-                        reference.family(name).counters,
-                    )
+        assert reference.stream_names() == planned.stream_names()
         for name in reference.stream_names():
             assert np.array_equal(
                 planned.family(name).counters, reference.family(name).counters
@@ -251,18 +253,21 @@ class TestPlanBehaviour:
         plan.scatter_rows(np.asarray([0], dtype=np.uint64))  # 0 is a miss again
         assert plan.stats().misses == 6
 
-    def test_stats_roundtrip_and_merge(self):
-        stats = HashPlanStats(
-            hits=3, misses=2, evictions=1, bypasses=1, entries=2,
-            capacity=8, hash_seconds=0.5, scatter_seconds=0.25,
-        )
+    def test_stats_rates_and_json(self):
+        """The snapshot's derived rates, and the JSON keys the end-to-end
+        benchmark reads."""
+        s = spec(2, seed=14)
+        plan = HashPlan(s.hashes(), s.shape, cache_size=16)
+        assert plan.stats().hit_rate == 0.0
+        plan.scatter_rows(np.arange(3, dtype=np.uint64))
+        plan.scatter_rows(np.arange(2, dtype=np.uint64))
+        stats = plan.stats()
         assert stats.lookups == 5
-        assert stats.hit_rate == pytest.approx(0.6)
-        again = HashPlanStats.from_json_dict(stats.to_json_dict())
-        assert again == stats
-        merged = stats.merged_with(again)
-        assert merged.hits == 6 and merged.hash_seconds == pytest.approx(1.0)
-        assert HashPlanStats().hit_rate == 0.0
+        assert stats.hit_rate == pytest.approx(0.4)
+        payload = stats.to_json_dict()
+        assert {"hits", "misses", "hash_seconds", "scatter_seconds"} <= set(payload)
+        assert payload["hits"] == 2 and payload["misses"] == 3
+        assert payload["hash_seconds"] > 0.0
 
     def test_clear_cache_and_reset_stats(self):
         s = spec(2, seed=16)
@@ -286,8 +291,8 @@ class TestPlanBehaviour:
             HashPlan(s.hashes(), wrong_shape)
 
     def test_threaded_sharing_stays_exact(self):
-        """Concurrent families hammering one plan (the sharded-threads
-        topology) must not corrupt cached rows."""
+        """Concurrent families hammering one plan (servers in threads
+        sharing ``plan_for``'s plan) must not corrupt cached rows."""
         from concurrent.futures import ThreadPoolExecutor
 
         s = spec(4, seed=18)
@@ -312,262 +317,3 @@ class TestPlanBehaviour:
                 reference.update_batch(elements, counts, plan=None)
         for family, reference in zip(families, references):
             assert np.array_equal(family.counters, reference.counters)
-
-
-def dense_plan(s: SketchSpec, limit: int | None = None, keys=None, cache_size: int = 256) -> HashPlan:
-    """A private plan (same coins as the canonical one) with a dense
-    table attached — private so tests never contaminate ``plan_for``'s
-    memoised instance."""
-    plan = HashPlan(s.hashes(), s.shape, cache_size=cache_size)
-    if limit is not None:
-        plan.ensure_dense_domain(limit)
-    if keys is not None:
-        plan.ensure_dense_keys(keys)
-    return plan
-
-
-class TestDenseScatterTable:
-    """The precomputed-scatter fast path: gathers must be bit-identical
-    to hashing, in both key layouts, across every maintenance entry
-    point, straddling the dense→fallback boundary."""
-
-    LIMIT = 1 << 10
-
-    def test_local_rows_match_hashing(self):
-        """Table rows re-globalised equal compute_rows exactly."""
-        s = spec(6, seed=21)
-        plan = dense_plan(s, limit=self.LIMIT)
-        table = plan.dense_table
-        assert table.rows.dtype == np.dtype(plan.local_row_dtype)
-        keys = np.arange(self.LIMIT, dtype=np.uint64)
-        assert np.array_equal(
-            plan.globalize_rows(table.rows), plan.compute_rows(keys)
-        )
-
-    def test_globalize_roundtrip(self):
-        """local = global − offsets and back, column-wise."""
-        s = spec(5, seed=22)
-        plan = dense_plan(s, limit=64)
-        global_rows = plan.compute_rows(np.arange(64, dtype=np.uint64))
-        local = (global_rows - plan.row_offsets[None, :]).astype(
-            plan.local_row_dtype
-        )
-        assert np.array_equal(plan.globalize_rows(local), global_rows)
-        assert int(local.max()) < plan.cells_per_sketch
-
-    def test_dictionary_layout_matches_contiguous(self):
-        """A hot-key dictionary over the same keys serves identical rows."""
-        s = spec(6, seed=23)
-        rng = np.random.default_rng(23)
-        keys = np.unique(
-            rng.integers(0, s.shape.domain_size, size=500, dtype=np.uint64)
-        )
-        contiguous = dense_plan(s, limit=self.LIMIT)
-        dictionary = dense_plan(s, keys=keys)
-        assert not dictionary.dense_table.contiguous
-        probe = keys[:: 3]
-        assert np.array_equal(
-            contiguous.compute_rows(probe), dictionary.scatter_rows(probe)
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_update_batch_bit_identical(self, seed):
-        """Mixed insert/delete batches straddling the dense boundary."""
-        s = spec(8, seed=seed)
-        rng = np.random.default_rng(200 + seed)
-        # half inside [0, LIMIT), half far outside: every batch mixes
-        # dense gathers with LRU-tail hashing
-        elements, counts = mixed_workload(rng, 3000, s.shape.domain_size)
-        elements[::2] %= self.LIMIT
-        plan = dense_plan(s, limit=self.LIMIT)
-        via_dense, via_lru, via_sketch = s.build(), s.build(), s.build()
-        via_dense.update_batch(elements, counts, plan=plan)
-        via_lru.update_batch(
-            elements, counts, plan=HashPlan(s.hashes(), s.shape)
-        )
-        via_sketch.update_batch(elements, counts, plan=None)
-        assert np.array_equal(via_dense.counters, via_sketch.counters)
-        assert np.array_equal(via_lru.counters, via_sketch.counters)
-        assert plan.stats().dense_hits > 0
-
-    def test_scalar_updates_bit_identical(self):
-        """Single-element batches through the dense path (covered and
-        uncovered) match ``update``."""
-        s = spec(4, seed=31)
-        plan = dense_plan(s, limit=self.LIMIT)
-        via_dense, reference = s.build(), s.build()
-        for element, count in ((3, 1), (self.LIMIT - 1, -2), (self.LIMIT, 5), (999_000, 1)):
-            via_dense.update_batch(
-                np.asarray([element], dtype=np.uint64),
-                np.asarray([count], dtype=np.int64),
-                plan=plan,
-            )
-            reference.update(element, count)
-        assert np.array_equal(via_dense.counters, reference.counters)
-
-    def test_ingest_batch_bit_identical(self):
-        """The aggregating ingest path over a dense plan (single
-        scatter_parts call, delta-group subsets) matches per-sketch."""
-        s = spec(8, seed=33)
-        rng = np.random.default_rng(33)
-        elements, counts = mixed_workload(rng, 4000, s.shape.domain_size)
-        elements[::3] %= self.LIMIT
-        plan = dense_plan(s, limit=self.LIMIT)
-        via_dense, via_sketch = s.build(), s.build()
-        applied = via_dense.ingest_batch(elements, counts, plan=plan)
-        for element, count in zip(elements.tolist(), counts.tolist()):
-            via_sketch.update(element, count)
-        assert np.array_equal(via_dense.counters, via_sketch.counters)
-        assert applied <= elements.size
-
-    def test_merge_and_checkpoint_bit_identical(self):
-        """Dense-maintained counters survive merge and byte round-trips
-        exactly like classic ones."""
-        s = spec(6, seed=35)
-        rng = np.random.default_rng(35)
-        plan = dense_plan(s, limit=self.LIMIT)
-        halves_dense = [s.build(), s.build()]
-        halves_ref = [s.build(), s.build()]
-        for half_dense, half_ref, seed in zip(halves_dense, halves_ref, (1, 2)):
-            elements, counts = mixed_workload(
-                np.random.default_rng(seed), 1500, s.shape.domain_size
-            )
-            elements[::2] %= self.LIMIT
-            half_dense.update_batch(elements, counts, plan=plan)
-            half_ref.update_batch(elements, counts, plan=None)
-        merged_dense = halves_dense[0].merged_with(halves_dense[1])
-        merged_ref = halves_ref[0].merged_with(halves_ref[1])
-        assert np.array_equal(merged_dense.counters, merged_ref.counters)
-        restored = type(merged_dense).from_bytes(merged_dense.to_bytes(), s)
-        assert np.array_equal(restored.counters, merged_ref.counters)
-
-    def test_boundary_all_dense_all_tail(self):
-        """Batches entirely inside, entirely outside, and exactly at the
-        table limit all stay exact."""
-        s = spec(4, seed=37)
-        plan = dense_plan(s, limit=self.LIMIT)
-        cases = [
-            np.arange(self.LIMIT - 8, self.LIMIT, dtype=np.uint64),   # all dense
-            np.arange(self.LIMIT, self.LIMIT + 8, dtype=np.uint64),   # all tail
-            np.arange(self.LIMIT - 4, self.LIMIT + 4, dtype=np.uint64),  # split
-        ]
-        for elements in cases:
-            via_dense, via_sketch = s.build(), s.build()
-            via_dense.update_batch(elements, plan=plan)
-            via_sketch.update_batch(elements, plan=None)
-            assert np.array_equal(via_dense.counters, via_sketch.counters)
-
-    @pytest.mark.parametrize("seed", [40, 41, 42, 43])
-    def test_mixed_fuzz(self, seed):
-        """Randomised dense/tail mixes with duplicate-heavy churn across
-        repeated batches on one family."""
-        s = spec(8, seed=7)
-        rng = np.random.default_rng(seed)
-        plan = dense_plan(s, limit=self.LIMIT, cache_size=32)  # tiny: evicts
-        via_dense, via_sketch = s.build(), s.build()
-        for _ in range(6):
-            size = int(rng.integers(1, 600))
-            elements, counts = mixed_workload(rng, size, s.shape.domain_size)
-            mask = rng.random(size) < rng.random()  # varying dense fraction
-            elements[mask] %= self.LIMIT
-            via_dense.update_batch(elements, counts, plan=plan)
-            via_sketch.update_batch(elements, counts, plan=None)
-        assert np.array_equal(via_dense.counters, via_sketch.counters)
-
-    def test_scan_flood_with_dense_stays_on_fast_path(self):
-        """A partially-covered scan flood hashes its tail instead of
-        falling back to per-sketch maintenance (gathered rows are
-        already paid for), and the flood is not admitted to the LRU."""
-        s = spec(4, seed=44)
-        plan = dense_plan(s, limit=self.LIMIT, cache_size=16)
-        elements = np.arange(0, 6000, dtype=np.uint64)  # 1024 dense, rest tail
-        via_dense, via_sketch = s.build(), s.build()
-        via_dense.update_batch(elements, plan=plan)
-        via_sketch.update_batch(elements, plan=None)
-        assert np.array_equal(via_dense.counters, via_sketch.counters)
-        stats = plan.stats()
-        assert stats.dense_hits == self.LIMIT  # served by gather, not bypassed
-        assert stats.entries == 0  # flood skipped cache admission
-
-    def test_level_totals_match(self):
-        """The dirty-level aggregates (bucket keys from local rows) agree
-        with classic maintenance, not just the counters."""
-        s = spec(6, seed=45)
-        rng = np.random.default_rng(45)
-        elements, counts = mixed_workload(rng, 2000, s.shape.domain_size)
-        elements[::2] %= self.LIMIT
-        plan = dense_plan(s, limit=self.LIMIT)
-        via_dense, via_sketch = s.build(), s.build()
-        via_dense.update_batch(elements, counts, plan=plan)
-        via_sketch.update_batch(elements, counts, plan=None)
-        via_sketch.refresh_aggregates()
-        assert np.array_equal(
-            via_dense.level_totals(), via_sketch.level_totals()
-        )
-
-    def test_attach_validation(self):
-        """Wrong row width and wrong dtype are both rejected."""
-        s = spec(4, seed=46)
-        other = spec(6, seed=46)
-        plan = HashPlan(s.hashes(), s.shape)
-        wrong_width = DenseScatterTable.build(
-            HashPlan(other.hashes(), other.shape), limit=16
-        )
-        with pytest.raises(IncompatibleSketchesError):
-            plan.attach_dense(wrong_width)
-        good = DenseScatterTable.build(plan, limit=16)
-        widened = DenseScatterTable(
-            good.rows.astype(np.int64), keys=None
-        )
-        with pytest.raises(IncompatibleSketchesError):
-            plan.attach_dense(widened)
-
-    def test_ensure_dense_domain_idempotent(self):
-        s = spec(4, seed=47)
-        plan = dense_plan(s, limit=256)
-        table = plan.dense_table
-        assert plan.ensure_dense_domain(128) is table  # covered: kept
-        assert plan.ensure_dense_domain(256) is table
-        bigger = plan.ensure_dense_domain(512)
-        assert bigger is not table and bigger.limit == 512
-        with pytest.raises(ValueError):
-            plan.ensure_dense_domain(0)
-        with pytest.raises(ValueError):
-            plan.ensure_dense_domain(s.shape.domain_size + 1)
-        assert plan.detach_dense() is bigger
-        assert plan.dense_table is None
-
-    def test_scatter_parts_subset(self):
-        """``ScatterParts.subset`` selects consistently across the
-        covered/dense/tail arrays (the ingest delta-group path)."""
-        s = spec(4, seed=48)
-        plan = dense_plan(s, limit=64)
-        elements = np.asarray([3, 70, 10, 90, 63], dtype=np.uint64)
-        parts = plan.scatter_parts(elements)
-        assert parts is not None and parts.covered is not None
-        keep = np.asarray([True, False, True, True, False])
-        sub = parts.subset(keep)
-        rows = plan.compute_rows(elements[keep])
-        got = np.empty_like(rows)
-        got[sub.covered] = plan.globalize_rows(sub.dense_rows)
-        got[~sub.covered] = sub.tail_rows
-        assert np.array_equal(got, rows)
-        # all-dense and all-tail parts subset without covered masks
-        all_dense = plan.scatter_parts(np.asarray([1, 2, 3], dtype=np.uint64))
-        sub = all_dense.subset(np.asarray([True, False, True]))
-        assert sub.dense_rows.shape[0] == 2 and sub.tail_rows is None
-        all_tail = plan.scatter_parts(
-            np.asarray([100, 200], dtype=np.uint64)
-        )
-        sub = all_tail.subset(np.asarray([False, True]))
-        assert sub.covered is None and sub.tail_rows.shape[0] == 1
-
-    def test_stats_report_dense_counters(self):
-        s = spec(4, seed=49)
-        plan = dense_plan(s, limit=64)
-        family = s.build()
-        family.update_batch(np.arange(32, dtype=np.uint64), plan=plan)
-        stats = plan.stats()
-        assert stats.dense_hits == 32
-        assert stats.dense_entries == 64
-        assert 0.0 < stats.dense_rate <= 1.0

@@ -408,6 +408,9 @@ class TestQueryServerSessions:
 class _StubTarget:
     """A serving target whose query paths raise a chosen exception."""
 
+    is_windowed = False
+    snapshot_position = (0, 0)
+
     def __init__(self, exc: Exception):
         self.exc = exc
 
@@ -415,6 +418,9 @@ class _StubTarget:
         return ["A", "B"]
 
     def query(self, *args, **kwargs):
+        raise self.exc
+
+    def query_many(self, *args, **kwargs):
         raise self.exc
 
     def query_union(self, *args, **kwargs):

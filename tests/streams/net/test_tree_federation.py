@@ -2,8 +2,8 @@
 re-exporting aggregated deltas to a parent coordinator.
 
 The acceptance scenario builds a 2-level tree — two leaf coordinators
-with two sites each, one leaf folding into a 2-shard
-:class:`~repro.streams.sharded.ShardedEngine` — and pushes every update
+with two sites each, one leaf folding into a
+:class:`~repro.streams.engine.StreamEngine` — and pushes every update
 through fault-injecting proxies (mid-frame cuts, duplicate deliveries)
 on both the site→leaf and leaf→root hops, restarts one leaf from its
 checkpoint and one site under a reused id, and then requires the root's
@@ -25,7 +25,6 @@ from repro.core.sketch import SketchShape
 from repro.streams.engine import StreamEngine
 from repro.streams.net.coordinator import CoordinatorServer
 from repro.streams.net.site import SiteClient, SiteConnectionError
-from repro.streams.sharded import ShardedEngine
 from repro.streams.updates import Update
 
 from tests.streams.net.faults import FaultyTransport
@@ -41,9 +40,8 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, TIMEOUT))
 
 
-def sharded_factory(spec: SketchSpec) -> ShardedEngine:
-    # Serial executor: deterministic, single-core container.
-    return ShardedEngine(spec, num_shards=2, executor="serial")
+def engine_factory(spec: SketchSpec) -> StreamEngine:
+    return StreamEngine(spec)
 
 
 def make_client(site_id: str, port: int, seed: int) -> SiteClient:
@@ -131,7 +129,7 @@ class TestTreeFederation:
                 SPEC,
                 port=0,
                 checkpoint_dir=leaf1_dir,
-                engine_factory=sharded_factory,
+                engine_factory=engine_factory,
                 parent_port=up1.port,
                 uplink_id="leaf1",
                 uplink_options=uplink_options(21),
@@ -184,11 +182,10 @@ class TestTreeFederation:
             for site_id in ("s1", "s2"):
                 await observe_and_ship(site_id, 20)
             await leaf1.stop()
-            leaf1.coordinator.fold_engine.close()
             leaf1 = CoordinatorServer.restore(
                 leaf1_dir,
                 port=leaf1_port,
-                engine_factory=sharded_factory,
+                engine_factory=engine_factory,
                 parent_port=up1.port,
                 uplink_id="leaf1",
                 uplink_options=uplink_options(23),
@@ -240,7 +237,6 @@ class TestTreeFederation:
             await leaf1.stop()
             await leaf2.stop()
             await root.stop()
-            leaf1.coordinator.fold_engine.close()
 
         run(scenario())
 

@@ -13,13 +13,10 @@ from repro.errors import IncompatibleSketchesError
 from repro.streams.checkpoint import (
     CheckpointError,
     checkpoint_engine,
-    checkpoint_sharded_engine,
     read_checkpoint_extra,
     restore_engine,
-    restore_sharded_engine,
 )
 from repro.streams.engine import StreamEngine
-from repro.streams.sharded import ShardedEngine
 from repro.streams.updates import Update, insertions
 
 SHAPE = SketchShape(domain_bits=20, num_second_level=8, independence=6)
@@ -134,6 +131,71 @@ class TestFailureModes:
         with pytest.raises(CheckpointError, match="A"):
             restore_engine(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("spec", None),
+            ("spec", "not a spec"),
+            ("streams", None),
+            ("streams", "A"),
+            ("updates_processed", "lots"),
+            ("updates_processed", 1.5),
+        ],
+        ids=[
+            "spec-missing",
+            "spec-ill-typed",
+            "streams-missing",
+            "streams-not-a-list",
+            "updates-not-an-integer",
+            "updates-a-float",
+        ],
+    )
+    def test_malformed_manifest_field(self, tmp_path, field, value):
+        """A missing or ill-typed manifest field is a CheckpointError, not
+        a bare KeyError/TypeError/ValueError from deep in the restore."""
+        checkpoint_engine(loaded_engine(), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=field):
+            restore_engine(tmp_path)
+
+    @pytest.mark.parametrize(
+        "site_sequences",
+        [["edge-1", 4], {"edge-1": 4}, {"edge-1": {"inc": "four"}}],
+        ids=["not-a-mapping", "history-not-a-mapping", "sequence-not-an-integer"],
+    )
+    def test_malformed_site_sequences(self, tmp_path, site_sequences):
+        """A coordinator restore validates ``extra["site_sequences"]``."""
+        from repro.streams.net.coordinator import CoordinatorServer
+
+        checkpoint_engine(
+            loaded_engine(), tmp_path, extra={"site_sequences": site_sequences}
+        )
+        with pytest.raises(CheckpointError, match="sequence"):
+            CoordinatorServer.restore(tmp_path)
+
+    def test_sharded_layout_refused(self, tmp_path):
+        """A checkpoint of the retired sharded engine (a ``shards`` key and
+        one payload per shard and stream) is refused by name."""
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shards"] = 2
+        manifest["stream_files"] = {
+            f"shard{shard}/{name}": file
+            for name, file in manifest["stream_files"].items()
+            for shard in range(2)
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="sharded"):
+            restore_engine(tmp_path)
+
 
 class TestStreamNameEscaping:
     """Regression: stream names are user data; ``../x``, ``a/b``, NULs and
@@ -195,68 +257,6 @@ class TestStreamNameEscaping:
         for name in engine.stream_names():
             assert restored.family(name) == engine.family(name)
         assert restored.updates_processed == engine.updates_processed
-
-
-class TestShardedCheckpoint:
-    def sharded_engine(self) -> ShardedEngine:
-        engine = ShardedEngine(SPEC, num_shards=3, executor="serial", batch_size=64)
-        rng = np.random.default_rng(77)
-        for _ in range(3000):
-            stream = ("A", "b/b")[int(rng.integers(0, 2))]
-            delta = 1 if rng.random() < 0.8 else -1
-            engine.process(Update(stream, int(rng.integers(0, 2**20)), delta))
-        return engine
-
-    def test_round_trip_preserves_per_shard_state(self, tmp_path):
-        with self.sharded_engine() as engine:
-            checkpoint_sharded_engine(engine, tmp_path / "ckpt")
-            with restore_sharded_engine(
-                tmp_path / "ckpt", executor="serial"
-            ) as restored:
-                assert restored.num_shards == engine.num_shards
-                assert restored.updates_processed == engine.updates_processed
-                for name in engine.stream_names():
-                    before = dict(engine._iter_shard_families(name))
-                    after = dict(restored._iter_shard_families(name))
-                    assert before.keys() == after.keys()
-                    for shard in before:
-                        assert np.array_equal(
-                            before[shard].counters, after[shard].counters
-                        )
-
-    def test_restored_engine_continues_identically(self, tmp_path):
-        with self.sharded_engine() as engine:
-            checkpoint_sharded_engine(engine, tmp_path / "ckpt")
-            with restore_sharded_engine(
-                tmp_path / "ckpt", executor="serial"
-            ) as restored:
-                for sink in (engine, restored):
-                    sink.process(Update("A", 12345, 1))
-                    sink.flush()
-                assert np.array_equal(
-                    restored.family("A").counters, engine.family("A").counters
-                )
-
-    def test_flat_restore_merges_by_linearity(self, tmp_path):
-        with self.sharded_engine() as engine:
-            checkpoint_sharded_engine(engine, tmp_path / "ckpt")
-            flat = restore_engine(tmp_path / "ckpt")
-            for name in engine.stream_names():
-                assert np.array_equal(
-                    flat.family(name).counters, engine.family(name).counters
-                )
-
-    def test_restore_with_different_shard_count(self, tmp_path):
-        with self.sharded_engine() as engine:
-            checkpoint_sharded_engine(engine, tmp_path / "ckpt")
-            with restore_sharded_engine(
-                tmp_path / "ckpt", num_shards=5, executor="serial"
-            ) as resharded:
-                for name in engine.stream_names():
-                    assert np.array_equal(
-                        resharded.family(name).counters,
-                        engine.family(name).counters,
-                    )
 
 
 class TestAdoptFamily:

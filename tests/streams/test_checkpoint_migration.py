@@ -3,12 +3,11 @@
 A version-1 checkpoint (raw stream-name files, no ``stream_files``
 mapping, no ``extra``) must restore into every modern consumer — a flat
 engine, a :class:`~repro.streams.net.coordinator.CoordinatorServer`,
-and a factory-built :class:`~repro.streams.sharded.ShardedEngine` fold
+and a factory-built :class:`~repro.streams.engine.StreamEngine` fold
 target — and re-checkpointing then *migrates* it to the current format.
 The ``extra`` mapping (per-site sequence map, uplink state) must ride
-unchanged through :func:`~repro.streams.checkpoint.
-checkpoint_sharded_engine`, i.e. through a ShardedEngine leaf of a
-federation tree, not just the flat writer.
+unchanged through the checkpoint writer and through an engine-backed
+leaf of a federation tree.
 """
 
 from __future__ import annotations
@@ -23,16 +22,14 @@ from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
 from repro.streams.checkpoint import (
     CheckpointError,
-    checkpoint_sharded_engine,
+    checkpoint_engine,
     read_checkpoint_extra,
     read_checkpoint_spec,
     restore_engine,
-    restore_sharded_engine,
 )
 from repro.streams.distributed import StreamSite
 from repro.streams.engine import StreamEngine
 from repro.streams.net.coordinator import CoordinatorServer
-from repro.streams.sharded import ShardedEngine
 from repro.streams.updates import Update, insertions
 
 SHAPE = SketchShape(domain_bits=16, num_second_level=8, independence=4)
@@ -69,20 +66,17 @@ def write_v1_checkpoint(directory, engine: StreamEngine) -> None:
 
 
 class TestV1Migration:
-    def test_v1_restores_into_sharded_fold_target(self, tmp_path):
+    def test_v1_restores_into_engine_fold_target(self, tmp_path):
         """v1 checkpoint → CoordinatorServer.restore with an
         engine_factory: the migration path a leaf upgraded in place
         takes."""
         engine = loaded_engine()
         write_v1_checkpoint(tmp_path, engine)
         server = CoordinatorServer.restore(
-            tmp_path,
-            engine_factory=lambda spec: ShardedEngine(
-                spec, num_shards=2, executor="serial"
-            ),
+            tmp_path, engine_factory=lambda spec: StreamEngine(spec)
         )
         fold = server.coordinator.fold_engine
-        assert isinstance(fold, ShardedEngine)
+        assert isinstance(fold, StreamEngine)
         assert fold.updates_processed == engine.updates_processed
         for name in engine.stream_names():
             assert server.coordinator.families()[name] == engine.family(name)
@@ -90,32 +84,24 @@ class TestV1Migration:
             server.query_union(["A", "B"], 0.25).value
             == engine.query_union(["A", "B"], 0.25).value
         )
-        fold.close()
 
     def test_recheckpoint_migrates_v1_to_current_format(self, tmp_path):
         """Restoring a v1 checkpoint and checkpointing again writes the
-        current manifest format (stream_files mapping, shard layout)."""
+        current manifest format (stream_files mapping)."""
         engine = loaded_engine()
         v1 = tmp_path / "v1"
         write_v1_checkpoint(v1, engine)
         server = CoordinatorServer.restore(
-            v1,
-            engine_factory=lambda spec: ShardedEngine(
-                spec, num_shards=2, executor="serial"
-            ),
+            v1, engine_factory=lambda spec: StreamEngine(spec)
         )
         server._checkpoint_dir = tmp_path / "v2"
         server.checkpoint()
         manifest = json.loads((tmp_path / "v2" / "manifest.json").read_text())
         assert manifest["format_version"] == 3
-        assert manifest["shards"] == 2
-        # Slices are keyed per shard in the manifest's file map.
-        assert all(key.startswith("shard") for key in manifest["stream_files"])
-        assert manifest["stream_files"]
+        assert sorted(manifest["stream_files"]) == engine.stream_names()
         restored = restore_engine(tmp_path / "v2")
         for name in engine.stream_names():
             assert restored.family(name) == engine.family(name)
-        server.coordinator.fold_engine.close()
 
     def test_v1_has_no_extra_and_no_spec_surprises(self, tmp_path):
         engine = loaded_engine()
@@ -126,9 +112,9 @@ class TestV1Migration:
 
 class TestReadCheckpointSpec:
     def test_reads_spec_without_restoring(self, tmp_path):
-        with ShardedEngine(SPEC, num_shards=2, executor="serial") as engine:
-            engine.process_many(insertions("S", range(50)))
-            checkpoint_sharded_engine(engine, tmp_path)
+        engine = StreamEngine(SPEC)
+        engine.process_many(insertions("S", range(50)))
+        checkpoint_engine(engine, tmp_path)
         assert read_checkpoint_spec(tmp_path) == SPEC
 
     def test_missing_directory_raises(self, tmp_path):
@@ -145,40 +131,34 @@ class TestReadCheckpointSpec:
             read_checkpoint_spec(tmp_path)
 
 
-class TestExtraThroughShardedLeaf:
-    def test_extra_round_trips_through_sharded_writer(self, tmp_path):
-        """The extra mapping rides a sharded checkpoint verbatim and the
-        counters still restore both sharded and flat."""
+class TestExtraThroughLeaf:
+    def test_extra_round_trips(self, tmp_path):
+        """The extra mapping (a leaf's sequence map and uplink state)
+        rides a checkpoint verbatim and the counters still restore."""
         extra = {
             "site_sequences": {"s1": {"inc-a": 3, "inc-b": 1}},
             "uplink": {"site_id": "leaf", "sequence": 2},
         }
-        with ShardedEngine(SPEC, num_shards=3, executor="serial") as engine:
-            engine.process_many(insertions("A", range(200)))
-            engine.process_many(insertions("B", range(100, 260)))
-            checkpoint_sharded_engine(engine, tmp_path, extra=extra)
-            merged = engine.families()
+        engine = StreamEngine(SPEC)
+        engine.process_many(insertions("A", range(200)))
+        engine.process_many(insertions("B", range(100, 260)))
+        checkpoint_engine(engine, tmp_path, extra=extra)
         assert read_checkpoint_extra(tmp_path) == extra
-        flat = restore_engine(tmp_path)
-        for name, family in merged.items():
-            assert flat.family(name) == family
-        with restore_sharded_engine(tmp_path, executor="serial") as again:
-            for name, family in merged.items():
-                assert again.family(name) == family
+        restored = restore_engine(tmp_path)
+        for name, family in engine.families().items():
+            assert restored.family(name) == family
 
-    def test_sharded_leaf_checkpoint_restores_uplink_state(self, tmp_path):
-        """Full loop through a ShardedEngine-leaf CoordinatorServer:
+    def test_leaf_restores_uplink_state(self, tmp_path):
+        """Full loop through an engine-backed leaf CoordinatorServer:
         checkpoint persists site sequences + uplink state in extra, and
-        restore rebuilds both over a fresh sharded fold."""
+        restore rebuilds both over a fresh engine fold."""
 
         async def scenario():
             leaf = CoordinatorServer(
                 SPEC,
                 port=0,
                 checkpoint_dir=tmp_path,
-                engine_factory=lambda spec: ShardedEngine(
-                    spec, num_shards=2, executor="serial"
-                ),
+                engine_factory=lambda spec: StreamEngine(spec),
                 parent_port=65_000,  # never dialled in this test
                 uplink_id="leaf",
             )
@@ -206,15 +186,11 @@ class TestExtraThroughShardedLeaf:
 
             restored = CoordinatorServer.restore(
                 tmp_path,
-                engine_factory=lambda spec: ShardedEngine(
-                    spec, num_shards=2, executor="serial"
-                ),
+                engine_factory=lambda spec: StreamEngine(spec),
                 parent_port=65_000,
                 uplink_options=dict(max_retries=0),
             )
-            assert isinstance(
-                restored.coordinator.fold_engine, ShardedEngine
-            )
+            assert isinstance(restored.coordinator.fold_engine, StreamEngine)
             assert (
                 restored.uplink.site.incarnation
                 == leaf.uplink.site.incarnation
@@ -231,8 +207,6 @@ class TestExtraThroughShardedLeaf:
                 )
                 == 1
             )
-            leaf.coordinator.fold_engine.close()
-            restored.coordinator.fold_engine.close()
 
         asyncio.run(asyncio.wait_for(scenario(), 30))
 

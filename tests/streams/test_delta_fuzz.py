@@ -8,8 +8,8 @@ duplicate deliveries, withheld exports whose later siblings must raise
 silently skipped), retained-tail re-sync, at least three site
 incarnations under reused ids, and simulated coordinator fail-over
 (state handed to a fresh coordinator via ``adopt_family`` +
-``set_applied_sequence``).  Some seeds fold into a 2-shard
-:class:`~repro.streams.sharded.ShardedEngine` instead of the flat family
+``set_applied_sequence``).  Some seeds fold into a
+:class:`~repro.streams.engine.StreamEngine` instead of the flat family
 map — the protocol must not care.
 
 Afterwards the coordinator must be bit-identical to a flat
@@ -29,7 +29,6 @@ from repro.core.sketch import SketchShape
 from repro.errors import DeltaSequenceError, EstimationError
 from repro.streams.distributed import Coordinator, StreamSite
 from repro.streams.engine import StreamEngine
-from repro.streams.sharded import ShardedEngine
 from repro.streams.updates import Update
 
 TINY = SketchSpec(
@@ -73,12 +72,9 @@ def flush(coordinator: Coordinator, site: StreamSite) -> None:
 def run_schedule(seed: int) -> tuple[Coordinator, StreamEngine, int]:
     rng = random.Random(seed)
     truth = StreamEngine(TINY)
-    fold = (
-        ShardedEngine(TINY, num_shards=2, executor="serial")
-        if seed % 4 == 0
-        else None
+    coordinator = Coordinator(
+        TINY, engine=StreamEngine(TINY) if seed % 4 == 0 else None
     )
-    coordinator = Coordinator(TINY, engine=fold)
     incarnations = 0
     site_ids = ("p", "q")
     sites = {site_id: StreamSite(site_id, TINY) for site_id in site_ids}
@@ -139,15 +135,10 @@ def run_schedule(seed: int) -> tuple[Coordinator, StreamEngine, int]:
             for sid, history in coordinator.site_sequences().items():
                 for incarnation, sequence in history.items():
                     successor.set_applied_sequence(sid, incarnation, sequence)
-            if fold is not None:
-                fold.close()
-                fold = None
             coordinator = successor
 
     for site in sites.values():
         flush(coordinator, site)
-    if fold is not None:
-        fold.close()
     return coordinator, truth, incarnations
 
 

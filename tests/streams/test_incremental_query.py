@@ -2,8 +2,8 @@
 
 The contract under test: everything the cached / revalidated / batched
 paths return is **bit-identical** to a cold ``use_cache=False``
-recomputation, across dirty/clean transitions, batch grouping, sharded
-synchronisation, and checkpoint restore.
+recomputation, across dirty/clean transitions, batch grouping, and
+checkpoint restore.
 """
 
 from __future__ import annotations
@@ -243,30 +243,7 @@ class TestContinuousBatching:
             processor.register("bad", "A", max_history=0)
 
 
-class TestShardedParity:
-    def test_sharded_queries_match_flat_engine(self):
-        from repro.streams.sharded import ShardedEngine
-
-        flat = StreamEngine(SPEC)
-        sharded = ShardedEngine(SPEC, num_shards=2, executor="serial")
-        rng = np.random.default_rng(21)
-        pool = rng.choice(2**18, size=600, replace=False)
-        for index, element in enumerate(pool):
-            update = Update("A" if index % 2 else "B", int(element), 1)
-            flat.process(update)
-            sharded.process(update)
-        for expression in ("A & B", "A - B"):
-            assert sharded.query(expression, 0.2) == flat.query(
-                expression, 0.2, use_cache=False
-            )
-        assert sharded.query_union(["A", "B"], 0.2) == flat.query_union(
-            ["A", "B"], 0.2, use_cache=False
-        )
-        # repeat queries hit the merged engine's cache
-        first = sharded.query("A & B", 0.2)
-        assert sharded.query("A & B", 0.2) is first
-        assert sharded.query_stats().cache_hits >= 1
-
+class TestCheckpointRestore:
     def test_cache_survives_checkpoint_restore(self, tmp_path):
         from repro.streams.checkpoint import checkpoint_engine, restore_engine
 

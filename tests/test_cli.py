@@ -124,10 +124,9 @@ class TestServeShipPipeline:
 
     def test_serve_two_level_tree(self, tmp_path, capsys):
         """A 2-level federation tree, all CLI: two leaf coordinators
-        (one folding into a 2-shard engine) re-export to a root, whose
-        checkpoint answers a cross-leaf expression.  Single-core: every
-        server runs its own event loop in a thread, no parallel
-        executors."""
+        (one checkpointing, one not) re-export to a root, whose
+        checkpoint answers a cross-leaf expression.  Every server runs
+        its own event loop in a thread."""
         import socket
         import threading
 
@@ -169,14 +168,14 @@ class TestServeShipPipeline:
             "--checkpoint", str(root_ckpt), "--checkpoint-every", "1",
             "--max-deltas", "2",
         ])
-        # Leaf 1: sharded fold, no checkpoint (direct uplink cut).
+        # Leaf 1: no checkpoint (direct uplink cut).
         leaf1 = run_serve("leaf1", [
-            "--port", str(leaf1_port), "--shards", "2",
+            "--port", str(leaf1_port),
             "--parent", f"127.0.0.1:{root_port}",
             "--uplink-id", "leaf-a", "--uplink-every", "0",
             "--max-deltas", "1",
         ])
-        # Leaf 2: flat fold with a checkpoint (cut-inside-checkpoint).
+        # Leaf 2: with a checkpoint (cut-inside-checkpoint).
         leaf2 = run_serve("leaf2", [
             "--port", str(leaf2_port),
             "--parent", f"127.0.0.1:{root_port}",
