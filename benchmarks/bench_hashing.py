@@ -4,14 +4,16 @@ The default first-level family is a degree-(t−1) polynomial over
 GF(2^61−1) — the construction the paper's limited-independence analysis
 (Section 3.6) covers.  Tabulation hashing is only 3-wise independent but
 evaluates by table lookups.  This bench measures raw hashing throughput
-for both, the shared :class:`~repro.core.plan.HashPlan`'s stacked
-index-row production, and checks that each hash family feeds the
-geometric LSB level distribution the sketches rely on.
+for both, the shared :class:`~repro.core.plan.HashPlan`'s batch update
+(the compiled hash-and-scatter kernel against its numpy oracle), and
+checks that each hash family feeds the geometric LSB level distribution
+the sketches rely on.
 
 Run directly (``python benchmarks/bench_hashing.py --smoke``) it becomes
 a dependency-free smoke check for CI: a quick pass over the same paths
 with small inputs, asserting the level-distribution quality gate and
-that plan rows match per-sketch hashing bit-for-bit.
+that the kernel, the oracle and the per-sketch path leave counters
+bit-identical.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import time
+
 import numpy as np
 
-from repro.core.plan import HashPlan
+from repro.core import _kernel
 from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
 from repro.hashing.families import random_polynomial_hash
@@ -52,25 +56,42 @@ def test_tabulation_hash_throughput(benchmark):
     print(f"\ntabulation (3-wise): {rate / 1e6:.1f} M elements/s")
 
 
-def test_plan_row_throughput(benchmark):
-    """Stacked index-row production of the shared hash plan.
+#: The end-to-end benchmark's spec shape (r=128, s=8, t=6).
+E2E_SPEC = SketchSpec(
+    num_sketches=128,
+    shape=SketchShape(domain_bits=24, num_second_level=8, independence=6),
+    seed=11,
+)
 
-    One :meth:`~repro.core.plan.HashPlan.compute_rows` call replaces
-    ``r`` first-level evaluations plus ``r`` second-level bank passes;
-    this measures rows/second at the library-default shape on a batch
-    sized for the stacked (small-batch) regime.
-    """
-    spec = SketchSpec(
-        num_sketches=64,
-        shape=SketchShape(domain_bits=24, num_second_level=16, independence=8),
-        seed=11,
-    )
-    plan = HashPlan(spec.hashes(), spec.shape, cache_size=0)
+
+def _update_batch(spec: SketchSpec, elements, counts, lib):
+    """``(family, seconds)``: one batch applied on ``lib`` (the compiled
+    kernel, or ``None`` for the numpy oracle)."""
+    saved, _kernel.LIB = _kernel.LIB, lib
+    try:
+        family = spec.build()
+        started = time.perf_counter()
+        family.update_batch(elements, counts)
+        return family, time.perf_counter() - started
+    finally:
+        _kernel.LIB = saved
+
+
+def test_hash_scatter_throughput(benchmark):
+    """Updates/second of the shared plan's batch update at the
+    end-to-end shape: the compiled kernel, with the numpy oracle's rate
+    printed alongside."""
     rng = np.random.default_rng(12)
-    elements = rng.integers(0, 2**24, size=1024, dtype=np.uint64)
-    benchmark.pedantic(plan.compute_rows, args=(elements,), rounds=5, iterations=1)
+    elements = rng.integers(0, 2**24, size=4096, dtype=np.uint64)
+    family = E2E_SPEC.build()
+    benchmark.pedantic(family.update_batch, args=(elements,), rounds=5, iterations=1)
     rate = elements.size / benchmark.stats["mean"]
-    print(f"\nplan rows (r=64, s=16): {rate / 1e3:.1f} K elements/s")
+    _, oracle = _update_batch(E2E_SPEC, elements, None, None)
+    print(
+        f"\nhash+scatter (r=128, s=8, t=6): {rate / 1e3:.1f} K updates/s "
+        f"({'kernel' if _kernel.LIB else 'numpy'}), "
+        f"numpy oracle {elements.size / oracle / 1e3:.1f} K updates/s"
+    )
 
 
 def test_level_distribution_quality(benchmark):
@@ -107,12 +128,13 @@ def test_level_distribution_quality(benchmark):
 def run_smoke(num_elements: int = 1 << 14) -> dict:
     """A fast, assertion-backed pass over the hashing substrate.
 
-    Measures polynomial / tabulation / plan-row throughput on a small
-    input, checks the LSB geometric-distribution gate, and verifies that
-    plan-based family maintenance leaves counters bit-identical to the
-    per-sketch path.  Raises ``AssertionError`` on any quality failure.
+    Measures polynomial / tabulation throughput and the plan's batch
+    update (kernel and numpy oracle, updates/s at the end-to-end shape)
+    on a small input, checks the LSB geometric-distribution gate, and
+    verifies that kernel, oracle and per-sketch maintenance leave
+    counters and bucket totals bit-identical.  Raises ``AssertionError``
+    on any quality failure.
     """
-    import time
 
     rng = np.random.default_rng(42)
     elements = rng.integers(0, 2**24, size=num_elements, dtype=np.uint64)
@@ -139,33 +161,36 @@ def run_smoke(num_elements: int = 1 << 14) -> dict:
         report[f"{name}_worst_level_deviation"] = worst
         assert worst < 0.10, f"{name} level distribution degraded: {worst:.3f}"
 
-    spec = SketchSpec(
-        num_sketches=16,
-        shape=SketchShape(domain_bits=24, num_second_level=8, independence=8),
-        seed=11,
-    )
-    plan = HashPlan(spec.hashes(), spec.shape, cache_size=4096)
-    started = time.perf_counter()
-    plan.compute_rows(elements[:1024])
-    report["plan_rows_thousand_per_s"] = (
-        1024 / (time.perf_counter() - started) / 1e3
-    )
-
-    # Keep the batch inside the cache so the second pass is all hits
-    # (a larger batch would — correctly — trigger the scan-flood bypass
-    # and fall back to the per-sketch path, testing nothing new).
-    batch = elements[:1024]
+    batch = elements[:2048]
     counts = rng.choice(np.asarray([-2, -1, 1, 3], dtype=np.int64), batch.size)
-    via_plan, via_sketch = spec.build(), spec.build()
-    via_plan.update_batch(batch, counts, plan=plan)
-    via_plan.update_batch(batch, plan=plan)  # warm: served from the cache
-    via_sketch.update_batch(batch, counts, plan=None)
-    via_sketch.update_batch(batch, plan=None)
-    assert np.array_equal(via_plan.counters, via_sketch.counters), (
-        "plan-based maintenance diverged from the per-sketch path"
-    )
-    report["plan_counters_bit_identical"] = True
-    report["plan_cache_hit_rate"] = plan.stats().hit_rate
+    report["kernel_loaded"] = _kernel.LIB is not None
+    runs = {}
+    for name, lib in (("kernel", _kernel.LIB), ("oracle", None)):
+        if name == "kernel" and lib is None:
+            continue
+        seconds = []
+        for _ in range(3):
+            family, elapsed = _update_batch(E2E_SPEC, batch, counts, lib)
+            seconds.append(elapsed)
+        runs[name] = family
+        report[f"{name}_thousand_updates_per_s"] = batch.size / min(seconds) / 1e3
+    reference = E2E_SPEC.build()
+    for index in range(E2E_SPEC.num_sketches):
+        reference.sketch(index).update_batch(batch, counts)
+    reference.refresh_aggregates()
+    for name, family in runs.items():
+        assert np.array_equal(family.counters, reference.counters), (
+            f"{name} maintenance diverged from the per-sketch path"
+        )
+        assert np.array_equal(family.level_totals(), reference.level_totals()), (
+            f"{name} bucket totals diverged from the per-sketch path"
+        )
+    if "kernel" in runs:
+        assert np.array_equal(
+            runs["kernel"].level_dirty_versions(),
+            runs["oracle"].level_dirty_versions(),
+        ), "kernel and oracle touched different levels"
+    report["counters_bit_identical"] = True
     return report
 
 
@@ -186,16 +211,23 @@ def main(argv: list[str] | None = None) -> int:
     print(f"elements            : {report['elements']:,}")
     print(f"polynomial (t=8)    : {report['polynomial_million_per_s']:.1f} M/s")
     print(f"tabulation (3-wise) : {report['tabulation_million_per_s']:.1f} M/s")
-    print(f"plan rows (r=16,s=8): {report['plan_rows_thousand_per_s']:.1f} K/s")
+    if report["kernel_loaded"]:
+        print(
+            "hash+scatter kernel : "
+            f"{report['kernel_thousand_updates_per_s']:.1f} K updates/s"
+        )
+    else:
+        print("hash+scatter kernel : not loaded (no C compiler)")
+    print(
+        "hash+scatter numpy  : "
+        f"{report['oracle_thousand_updates_per_s']:.1f} K updates/s"
+    )
     print(
         "level deviation     : "
         f"poly {100 * report['polynomial_worst_level_deviation']:.2f}% / "
         f"tab {100 * report['tabulation_worst_level_deviation']:.2f}%"
     )
-    print(
-        "plan maintenance    : bit-identical, "
-        f"{report['plan_cache_hit_rate']:.0%} cache hit rate"
-    )
+    print("maintenance         : kernel, oracle, per-sketch bit-identical")
     return 0
 
 

@@ -24,12 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import _kernel
 from repro.core.plan import HashPlan, plan_for
 from repro.core.sketch import (
     SketchHashes,
     SketchShape,
     TwoLevelHashSketch,
-    scatter_add,
     segmented_add,
 )
 from repro.errors import DomainError, IncompatibleSketchesError
@@ -265,76 +265,45 @@ class SketchFamily:
             self.sketch(index).update(element, count)
         self._mark_all_dirty()
 
-    def update_batch(self, elements, counts=None, *, plan: HashPlan | str | None = "auto") -> None:
+    def update_batch(self, elements, counts=None, *, plan: HashPlan | str = "auto") -> None:
         """Vectorised maintenance of all members over a batch of updates.
 
-        By default the batch is routed through the spec's shared
-        :class:`~repro.core.plan.HashPlan`: index rows come from the
-        plan's element-row cache when the elements repeat, and fresh rows
-        are hashed/scattered via the plan's measured hybrid — stacked
-        single-pass evaluation for small miss sets, per-sketch passes for
-        large ones (see ``STACKED_HASH_MAX``/``STACKED_SCATTER_MAX`` in
-        :mod:`repro.core.plan`) — bit-identical to the per-sketch path.
-        (PR 1 measured and rejected a stacked variant; re-measured here,
-        that verdict holds for *scatter at large batch sizes* — ``r``
-        cache-resident per-sketch histograms still beat one giant
-        ``bincount`` — but not for hashing small batches or for repeated
-        elements, where the cache skips hashing entirely.  The plan keeps
-        whichever side wins at each size.)
-
-        ``plan`` selects the maintenance path: ``"auto"`` (the spec's
-        shared plan), an explicit :class:`~repro.core.plan.HashPlan`
-        (must be built from this spec's coins), or ``None`` for the
-        legacy per-sketch path.
+        The batch goes through the spec's shared
+        :class:`~repro.core.plan.HashPlan` in one hash-and-scatter pass
+        (the compiled kernel, or its numpy oracle without a compiler),
+        bit-identical to updating each member sketch in turn.  The
+        incremental level aggregates follow: bucket totals move by the
+        batch's deltas and exactly the levels it touched are marked
+        dirty.  ``plan`` is ``"auto"`` (the spec's shared plan) or an
+        explicit :class:`~repro.core.plan.HashPlan` built from this
+        spec's coins.
         """
-        elements = np.asarray(elements, dtype=np.uint64)
+        elements = np.ascontiguousarray(elements, dtype=np.uint64)
         if elements.size == 0:
             return
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-        resolved = self._resolve_plan(plan)
-        if resolved is None:
-            for index in range(self.spec.num_sketches):
-                self.sketch(index).update_batch(elements, counts)
-            self._mark_all_dirty()
-            return
-        # Plan path: mirror the per-sketch checks before touching state.
         if int(elements.max()) >= self.spec.shape.domain_size:
             raise DomainError("batch contains elements outside [0, M)")
-        if counts is not None and counts.shape != elements.shape:
-            raise ValueError("counts must align with elements")
-        rows = resolved.scatter_rows(elements)
-        if rows is None:
-            # Scan flood: the plan declined (see HashPlan.scatter_rows) —
-            # classic per-sketch maintenance is faster than materialising
-            # unreusable index rows.
-            for index in range(self.spec.num_sketches):
-                self.sketch(index).update_batch(elements, counts)
-            self._mark_all_dirty()
-            return
-        self._scatter_rows(resolved, rows, counts)
+        if counts is not None:
+            counts = np.ascontiguousarray(counts, dtype=np.int64)
+            if counts.shape != elements.shape:
+                raise ValueError("counts must align with elements")
+        self._hash_scatter(
+            self._resolve_plan(plan),
+            elements.reshape(-1),
+            None if counts is None else counts.reshape(-1),
+        )
 
-    def ingest_batch(self, elements, counts=None, *, plan: HashPlan | str | None = "auto") -> int:
+    def ingest_batch(self, elements, counts=None, *, plan: HashPlan | str = "auto") -> int:
         """Maintenance over a batch, aggregated by linearity first.
 
         Because the sketch is a linear function of the element-frequency
         vector, any window of updates collapses to one net delta per
         distinct element before it ever touches a counter.  This path
-        groups the batch with ``np.unique``, drops elements whose deltas
-        cancel (insert/delete churn), and feeds each uniform-delta group
-        through the unweighted scatter fast path — typically 1.5–3× the
-        throughput of :meth:`update_batch` on realistic (skewed, churning)
-        update streams, and bit-identical to it in the final counters.
-
-        On the plan path the index rows for the *whole* unique set are
-        produced by one :meth:`~repro.core.plan.HashPlan.scatter_rows`
-        call before the groups split — one (larger, therefore
-        better-amortised) hash pass instead of one per delta group — and
-        each group scatters its subset of the rows.  Rows are a pure
-        function of the element, so the result stays bit-identical to
-        routing each group through :meth:`update_batch`; when no plan is
-        active (or the plan declines a scan flood), the groups fall back
-        to exactly that.
+        groups the batch with ``np.unique`` and drops elements whose
+        deltas cancel (insert/delete churn), then applies the net deltas
+        in one :meth:`update_batch`-equivalent hash-and-scatter pass —
+        bit-identical to :meth:`update_batch` on the raw batch, and
+        cheaper on realistic (skewed, churning) update streams.
 
         Returns the number of distinct elements actually maintained (the
         post-aggregation batch size, used by ingest metrics).
@@ -363,40 +332,11 @@ class SketchFamily:
             unique, net = unique[nonzero], net[nonzero]
         if unique.size == 0:
             return 0
-        resolved = self._resolve_plan(plan)
-        # Split by delta so uniform groups (the bulk of real traffic: unit
-        # insertions, unit deletions) hit the unweighted histogram path.
-        ones = net == 1
-        rows = None
-        if resolved is not None:
-            # ``unique`` is sorted, so the domain check is O(1).
-            if int(unique[-1]) >= self.spec.shape.domain_size:
-                raise DomainError("batch contains elements outside [0, M)")
-            rows = resolved.scatter_rows(unique)
-        if rows is not None:
-            if ones.all():
-                self._scatter_rows(resolved, rows, None)
-                return int(unique.size)
-            minus = net == -1
-            mixed = ~(ones | minus)
-            if ones.any():
-                self._scatter_rows(resolved, rows[ones], None)
-            if minus.any():
-                self._scatter_rows(resolved, rows[minus], net[minus])
-            if mixed.any():
-                self._scatter_rows(resolved, rows[mixed], net[mixed])
-            return int(unique.size)
-        if ones.all():
-            self.update_batch(unique, plan=resolved)
-            return int(unique.size)
-        minus = net == -1
-        mixed = ~(ones | minus)
-        if ones.any():
-            self.update_batch(unique[ones], plan=resolved)
-        if minus.any():
-            self.update_batch(unique[minus], net[minus], plan=resolved)
-        if mixed.any():
-            self.update_batch(unique[mixed], net[mixed], plan=resolved)
+        # ``unique`` is sorted, so the domain check is O(1).
+        if int(unique[-1]) >= self.spec.shape.domain_size:
+            raise DomainError("batch contains elements outside [0, M)")
+        net = None if bool((net == 1).all()) else net
+        self._hash_scatter(self._resolve_plan(plan), unique, net)
         return int(unique.size)
 
     # -- level-wise aggregates used by the estimators ----------------------
@@ -497,37 +437,6 @@ class SketchFamily:
         )
         self._level_versions[:] = self._version
 
-    def _note_keys(self, keys: np.ndarray, counts) -> None:
-        """Fold one scattered batch into the incremental aggregates.
-
-        ``keys`` is the ``(n, r)`` bucket-key matrix (values
-        ``sketch·levels + level``) of the rows just scattered — from
-        :meth:`~repro.core.plan.HashPlan.bucket_keys`; the ``j = 0``
-        column per sketch is the cell whose counter pair forms the bucket
-        total, so the totals delta is one ``bincount`` over the keys —
-        the same exact int64 accumulation the counters saw, an ``s``-th
-        of the scatter work.
-        """
-        num_levels = self.spec.shape.num_levels
-        flat_totals = self._level_totals.reshape(-1)
-        if counts is None:
-            flat_totals += np.bincount(keys.ravel(), minlength=flat_totals.size)
-        else:
-            first = int(counts[0])
-            if bool((counts == first).all()):
-                binned = np.bincount(keys.ravel(), minlength=flat_totals.size)
-                flat_totals += binned * first
-            else:
-                segmented_add(
-                    flat_totals,
-                    keys.ravel(),
-                    np.repeat(counts, self.spec.num_sketches),
-                )
-        self._version += 1
-        touched = np.zeros(num_levels, dtype=bool)
-        touched[(keys % num_levels).ravel()] = True
-        self._level_versions[touched] = self._version
-
     # -- algebra ------------------------------------------------------------
 
     def merged_with(self, other: "SketchFamily") -> "SketchFamily":
@@ -550,6 +459,31 @@ class SketchFamily:
         """
         self._check_compatible(baseline)
         return SketchFamily(self.spec, self.counters - baseline.counters)
+
+    def delta_payload(self, baseline: "SketchFamily") -> bytes | None:
+        """Advance ``baseline`` to this family; return what it moved by.
+
+        Returns the :meth:`to_bytes` payload of ``self - baseline`` and
+        overwrites ``baseline``'s counters with this family's, or returns
+        ``None`` (baseline unchanged in value) when the two are equal —
+        what :meth:`diff_from`, :meth:`is_zero`, :meth:`to_bytes` and a
+        fresh :meth:`copy` as the next baseline compute, in one pass over
+        the slab (the compiled kernel's ``diff_advance`` when it loaded).
+        ``baseline`` is a private snapshot: its incremental aggregates
+        are not maintained.
+        """
+        self._check_compatible(baseline)
+        current, previous = self.counters, baseline.counters
+        lib = _kernel.LIB
+        if lib is None:
+            delta = current - previous
+            np.copyto(previous, current)
+            return delta.astype("<i8").tobytes() if delta.any() else None
+        delta = np.empty_like(current)
+        nonzero = lib.diff_advance(
+            current.ctypes.data, previous.ctypes.data, delta.ctypes.data, delta.size
+        )
+        return delta.tobytes() if nonzero else None
 
     def is_zero(self) -> bool:
         """True iff every counter is exactly zero (an empty delta).
@@ -698,29 +632,20 @@ class SketchFamily:
         """The spec's shared :class:`~repro.core.plan.HashPlan`.
 
         One object per distinct spec process-wide (see
-        :func:`repro.core.plan.plan_for`), so its element-row cache is
-        warmed by *every* family of the spec.
+        :func:`repro.core.plan.plan_for`), shared by *every* family of
+        the spec.
         """
         return plan_for(self.spec)
 
-    def _resolve_plan(self, plan: HashPlan | str | None) -> HashPlan | None:
-        if plan is None:
-            return None
+    def _resolve_plan(self, plan: HashPlan | str) -> HashPlan:
         if isinstance(plan, str):
             if plan != "auto":
-                raise ValueError("plan must be 'auto', a HashPlan, or None")
+                raise ValueError("plan must be 'auto' or a HashPlan")
             return plan_for(self.spec)
-        if (
-            plan.num_sketches != self.spec.num_sketches
-            or plan.shape != self.spec.shape
-        ):
-            raise IncompatibleSketchesError(
-                "hash plan does not match this family's spec"
-            )
+        if not isinstance(plan, HashPlan):
+            raise ValueError("plan must be 'auto' or a HashPlan")
         # Structure matching is not enough: a plan built from different
-        # coins would scatter into the wrong cells silently.  Compare
-        # against the spec's canonical plan (memoised, so this is three
-        # small array comparisons, not a hash re-draw).
+        # coins would scatter into the wrong cells silently.
         canonical = plan_for(self.spec)
         if plan is not canonical and not plan.same_coins_as(canonical):
             raise IncompatibleSketchesError(
@@ -728,38 +653,16 @@ class SketchFamily:
             )
         return plan
 
-    def _scatter_rows(self, plan: HashPlan, rows: np.ndarray, counts) -> None:
-        """Scatter plan-produced index rows into the counters.
-
-        Accumulation rules mirror
-        :meth:`repro.core.sketch.TwoLevelHashSketch.update_batch` exactly
-        (unweighted histogram for uniform deltas, the guarded
-        ``scatter_add`` otherwise), and int64 addition commutes, so the
-        result is bit-identical to the per-sketch path in every case.
-        """
-        with plan.time_scatter():
-            counters = self.counters
-            contiguous = counters.flags.c_contiguous
-            target = (
-                counters.reshape(-1)
-                if contiguous
-                else np.ascontiguousarray(counters).reshape(-1)
-            )
-            if counts is None:
-                plan.scatter(target, rows)
-            else:
-                first = int(counts[0])
-                if bool((counts == first).all()):
-                    plan.scatter(target, rows, scale=first)
-                else:
-                    scatter_add(
-                        target,
-                        rows.reshape(-1),
-                        np.repeat(counts, plan.row_width),
-                    )
-            self._note_keys(plan.bucket_keys(rows), counts)
-            if not contiguous:
-                np.copyto(counters, target.reshape(counters.shape))
+    def _hash_scatter(self, plan: HashPlan, elements: np.ndarray, counts) -> None:
+        """Apply checked updates through ``plan`` and fold them into the
+        incremental aggregates (version bump, touched levels dirty)."""
+        counters = self.counters
+        target = np.ascontiguousarray(counters, dtype=np.int64)
+        touched = plan.hash_scatter(target, self._level_totals, elements, counts)
+        if target is not counters:
+            np.copyto(counters, target, casting="unsafe")
+        self._version += 1
+        self._level_versions[touched] = self._version
 
     def _check_compatible(self, other: "SketchFamily") -> None:
         if self.spec != other.spec:

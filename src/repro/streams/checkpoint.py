@@ -383,16 +383,38 @@ def _window_key(bucket_key: str) -> str:
 
 
 def _window_meta(manifest: dict) -> dict | None:
-    """The ``extra["windows"]`` section, validated shallowly (None if absent)."""
+    """The ``extra["windows"]`` section, validated (None if absent)."""
     extra = manifest.get("extra")
     if not isinstance(extra, dict):
         return None
     windows = extra.get("windows")
     if windows is None:
         return None
-    if not isinstance(windows, dict) or "window_span" not in windows:
-        raise CheckpointError("manifest 'extra[\"windows\"]' is malformed")
+
+    def malformed(field: str):
+        return CheckpointError(
+            f"manifest 'extra[\"windows\"]' has an unusable {field}"
+        )
+
+    if not isinstance(windows, dict):
+        raise malformed("section (not a mapping)")
+    if not _is_number(windows.get("window_span")):
+        raise malformed("window_span")
+    for field in ("bucket_width", "clock"):
+        if windows.get(field) is not None and not _is_number(windows[field]):
+            raise malformed(field)
+    streams = windows.get("streams", {})
+    if not isinstance(streams, dict) or not all(
+        isinstance(indices, list)
+        and all(type(index) is int for index in indices)
+        for indices in streams.values()
+    ):
+        raise malformed("streams (not a mapping of stream to bucket indices)")
     return windows
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and value == value
 
 
 def restore_engine(
@@ -402,8 +424,9 @@ def restore_engine(
 
     Accepts checkpoints of format 1, 2 or 3.  A malformed manifest — a
     missing or unusable ``spec``, a ``streams`` entry that is not a list
-    of names, a non-integer ``updates_processed``, or the removed sharded
-    layout — raises :class:`CheckpointError`.
+    of names, a non-integer ``updates_processed``, an ill-typed
+    ``extra["windows"]`` section, or the removed sharded layout — raises
+    :class:`CheckpointError`.
 
     A checkpoint written by a windowed engine restores as a windowed
     engine: the window config and ring clock come from
@@ -426,13 +449,19 @@ def restore_engine(
     if windows is None:
         engine = StreamEngine(spec, batch_size=batch_size)
     else:
-        engine = StreamEngine(
-            spec,
-            batch_size=batch_size,
-            window_span=windows["window_span"],
-            bucket_width=windows.get("bucket_width"),
-            clock_policy=windows.get("clock_policy", "raise"),
-        )
+        try:
+            engine = StreamEngine(
+                spec,
+                batch_size=batch_size,
+                window_span=windows["window_span"],
+                bucket_width=windows.get("bucket_width"),
+                clock_policy=windows.get("clock_policy", "raise"),
+            )
+        except ValueError as exc:
+            raise CheckpointError(
+                f"manifest 'extra[\"windows\"]' has an unusable window "
+                f"config: {exc}"
+            ) from exc
     for name in stream_names:
         engine.adopt_family(name, _read_family(directory, manifest, name, spec))
     if windows is not None:

@@ -307,11 +307,13 @@ class StreamSite:
         payloads: dict[str, bytes] = {}
         for name, family in self._engine.families().items():
             baseline = self._shipped.get(name)
-            delta = family if baseline is None else family.diff_from(baseline)
-            if delta.is_zero():
-                continue
-            payloads[name] = delta.to_bytes()
-            self._shipped[name] = family.copy()
+            if baseline is not None:
+                payload = family.delta_payload(baseline)  # advances it
+                if payload is not None:
+                    payloads[name] = payload
+            elif not family.is_zero():
+                payloads[name] = family.to_bytes()
+                self._shipped[name] = family.copy()
         self._sequence += 1
         export = DeltaExport(
             self.site_id,

@@ -92,13 +92,6 @@ class StreamEngine:
     batch_size:
         Number of buffered updates per stream that triggers the vectorised
         maintenance path.
-    use_plan:
-        Route maintenance through the spec's shared
-        :class:`~repro.core.plan.HashPlan` (stacked hashing plus the
-        element-row cache; bit-identical counters).  Because the plan is
-        keyed to the spec's coins, *all* streams of the engine share one
-        plan: an element hashed for one stream is a cache hit for every
-        other.  ``False`` restores the classic per-sketch path.
     window_span:
         Enable sliding-window queries: each stream additionally maintains
         a :class:`~repro.streams.windows.WindowRing` of time-bucketed
@@ -123,7 +116,6 @@ class StreamEngine:
         self,
         spec: SketchSpec,
         batch_size: int = 4096,
-        use_plan: bool = True,
         window_span: float | None = None,
         bucket_width: float | None = None,
         clock_policy: str = "raise",
@@ -145,7 +137,6 @@ class StreamEngine:
         self._window_clock = float("-inf")
         self.spec = spec
         self._batch_size = batch_size
-        self._plan_arg = "auto" if use_plan else None
         self._families: dict[str, SketchFamily] = {}
         self._buffers: dict[str, tuple[list[int], list[int]]] = {}
         self._updates_processed = 0
@@ -577,18 +568,15 @@ class StreamEngine:
         return sum(family.counters.nbytes for family in self._families.values())
 
     def plan_stats(self):
-        """Hash-plan cache counters for this engine's spec.
+        """Hash-plan counters for this engine's spec.
 
         Returns a :class:`~repro.core.plan.HashPlanStats` snapshot.  The
         plan is shared process-wide by spec, so the counters cover every
         family built from the same coins (all this engine's streams, and
-        any sibling engine on the spec).  With ``use_plan=False`` the
-        snapshot is empty.
+        any sibling engine on the spec).
         """
-        from repro.core.plan import HashPlanStats, plan_for
+        from repro.core.plan import plan_for
 
-        if self._plan_arg is None:
-            return HashPlanStats()
         return plan_for(self.spec).stats()
 
     def query_stats(self) -> QueryStats:
@@ -1013,8 +1001,7 @@ class StreamEngine:
             return
         elements, deltas = buffered
         # ingest_batch aggregates the buffer by linearity (duplicates
-        # collapse, churn cancels) before maintenance and routes through
-        # the shared hash plan — bit-identical to update_batch, faster on
-        # real (skewed, churning) traffic.
-        self._family(stream).ingest_batch(elements, deltas, plan=self._plan_arg)
+        # collapse, churn cancels) before maintenance — bit-identical to
+        # update_batch, faster on real (skewed, churning) traffic.
+        self._family(stream).ingest_batch(elements, deltas)
         self._buffers[stream] = ([], [])

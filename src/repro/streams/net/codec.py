@@ -53,6 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core import _kernel
 from repro.errors import ReproError
 
 __all__ = [
@@ -88,6 +89,16 @@ _MAX_VARINT_BYTES = 10
 
 class CodecError(ReproError, ValueError):
     """A payload violated the sparse wire encoding."""
+
+
+#: Messages of the sparse decoders' errors past framing, keyed by the
+#: compiled decoder's status codes.
+_DECODE_ERRORS = {
+    2: "varint longer than 10 bytes",
+    3: "varint overflows 64 bits",
+    4: "sparse payload indices exceed the counter slab",
+    5: "sparse payload indices are not strictly increasing",
+}
 
 
 def negotiate_encodings(
@@ -133,6 +144,16 @@ def _varint_encode(values: np.ndarray) -> bytes:
     return out[:, :width][mask].tobytes()
 
 
+def _framing_error(data: np.ndarray, expected: int) -> CodecError:
+    """The error for bytes that are not exactly ``expected`` varints."""
+    if expected == 0:
+        return CodecError("varint block has trailing bytes")
+    if data.size == 0:
+        return CodecError("varint block is empty")
+    ends = int(np.count_nonzero(data < 0x80))
+    return CodecError(f"varint block holds {ends} values, expected {expected}")
+
+
 def _varint_decode(data: np.ndarray, expected: int) -> np.ndarray:
     """Decode exactly ``expected`` concatenated LEB128 varints.
 
@@ -142,26 +163,22 @@ def _varint_decode(data: np.ndarray, expected: int) -> np.ndarray:
     """
     if expected == 0:
         if data.size:
-            raise CodecError("varint block has trailing bytes")
+            raise _framing_error(data, expected)
         return np.zeros(0, dtype=np.uint64)
-    if data.size == 0:
-        raise CodecError("varint block is empty")
     is_last = (data & 0x80) == 0
     ends = np.flatnonzero(is_last)
     if ends.size != expected or ends[-1] != data.size - 1:
-        raise CodecError(
-            f"varint block holds {ends.size} values, expected {expected}"
-        )
+        raise _framing_error(data, expected)
     starts = np.empty(expected, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
     if int(lengths.max()) > _MAX_VARINT_BYTES:
-        raise CodecError("varint longer than 10 bytes")
+        raise CodecError(_DECODE_ERRORS[2])
     # A 10-byte varint's final 7-bit group may only carry the top bit.
     ten = starts[lengths == _MAX_VARINT_BYTES]
     if ten.size and int(data[ten + 9].max()) > 1:
-        raise CodecError("varint overflows 64 bits")
+        raise CodecError(_DECODE_ERRORS[3])
     value_id = np.zeros(data.size, dtype=np.int64)
     value_id[starts[1:]] = 1
     np.cumsum(value_id, out=value_id)
@@ -215,6 +232,8 @@ def decode_sparse_cells(
     Returns ``(indices, values)`` with indices strictly increasing and
     below ``num_cells``.  Raises :class:`CodecError` on any malformation
     — the coordinator treats that like any other protocol violation.
+    Decodes in the compiled kernel when it loaded; the numpy decoder
+    below is its oracle and raises the same errors for the same bytes.
     """
     payload = memoryview(payload)
     if len(payload) < _COUNT.size:
@@ -225,6 +244,29 @@ def decode_sparse_cells(
             f"sparse payload claims {count} cells, slab has {num_cells}"
         )
     data = np.frombuffer(payload, dtype=np.uint8, offset=_COUNT.size)
+    lib = _kernel.LIB
+    if lib is None:
+        return _decode_cells_numpy(data, count, num_cells)
+    indices = np.empty(count, dtype=np.int64)
+    values = np.empty(count, dtype=np.int64)
+    status = lib.sparse_decode(
+        data.ctypes.data,
+        data.size,
+        count,
+        num_cells,
+        indices.ctypes.data,
+        values.ctypes.data,
+    )
+    if status == 1:
+        raise _framing_error(data, 2 * count)
+    if status:
+        raise CodecError(_DECODE_ERRORS[status])
+    return indices, values
+
+
+def _decode_cells_numpy(
+    data: np.ndarray, count: int, num_cells: int
+) -> tuple[np.ndarray, np.ndarray]:
     packed = _varint_decode(data, 2 * count)
     gaps, zigzagged = packed[:count], packed[count:]
     # Bound the gaps BEFORE any arithmetic: every reconstructed index
@@ -233,18 +275,18 @@ def decode_sparse_cells(
     # ``+ 1`` below back to a 0 step, producing duplicate indices whose
     # last element still satisfies the final bound.
     if count and int(gaps.max()) >= num_cells:
-        raise CodecError("sparse payload indices exceed the counter slab")
+        raise CodecError(_DECODE_ERRORS[4])
     steps = gaps.copy()
     if count > 1:
         steps[1:] += np.uint64(1)
     indices = np.cumsum(steps).astype(np.int64)
     if count and int(indices[-1]) >= num_cells:
-        raise CodecError("sparse payload indices exceed the counter slab")
+        raise CodecError(_DECODE_ERRORS[4])
     # Belt and braces: the gap bound makes wraparound impossible for any
     # representable slab, so reconstructed indices are strictly
     # increasing by construction — verify rather than assume.
     if count > 1 and not bool(np.all(np.diff(indices) > 0)):
-        raise CodecError("sparse payload indices are not strictly increasing")
+        raise CodecError(_DECODE_ERRORS[5])
     return indices, _unzigzag(zigzagged)
 
 
@@ -252,9 +294,20 @@ def decode_sparse_cells(
 
 
 def _sparse_body_from_dense(payload) -> bytes:
+    """The sparse body of one dense slab: one compiled pass when the
+    kernel loaded, :func:`encode_sparse_cells` (its oracle) otherwise."""
     counters = np.frombuffer(payload, dtype="<i8")
-    indices = np.flatnonzero(counters)
-    return encode_sparse_cells(indices, counters[indices])
+    lib = _kernel.LIB
+    if lib is None:
+        indices = np.flatnonzero(counters)
+        return encode_sparse_cells(indices, counters[indices])
+    nnz = int(np.count_nonzero(counters))
+    out = np.empty(_COUNT.size + 20 * nnz, dtype=np.uint8)
+    _COUNT.pack_into(out, 0, nnz)
+    size = lib.sparse_body(
+        counters.ctypes.data, counters.size, nnz, out.ctypes.data + _COUNT.size
+    )
+    return out[: _COUNT.size + size].tobytes()
 
 
 def encode_sparse_slabs(payloads: Iterable) -> bytes:

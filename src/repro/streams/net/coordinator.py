@@ -66,6 +66,7 @@ from repro.streams.distributed import Coordinator, DeltaExport, StreamSite
 from repro.streams.net import codec, protocol
 from repro.streams.net.site import SiteClient, SiteConnectionError
 from repro.streams.stats import TransportStats, rollup_transport_stats
+from repro.streams.windows import bucket_index
 
 __all__ = ["CoordinatorServer"]
 
@@ -104,15 +105,53 @@ def _site_sequences(extra: dict) -> list[tuple[str, str, int]]:
     return triples
 
 
-def _restore_uplink_site(directory, state, coordinator) -> StreamSite:
-    """The uplink site of a checkpoint's ``extra["uplink"]`` state, its
-    retained exports read back from their ``uplink/`` files."""
+def _check_uplink_state(state) -> None:
+    """Validate a checkpoint's ``extra["uplink"]`` field by field."""
+
+    def unusable(field: str, value):
+        return CheckpointError(
+            f"manifest 'extra[\"uplink\"]' has an unusable {field} {value!r}"
+        )
+
+    if not isinstance(state, dict):
+        raise unusable("section", state)
     if "baselines" in state:
         raise CheckpointError(
             "the checkpoint holds uplink state in the retired format-2 "
             "layout (base64 baselines in the manifest); it cannot be "
             "restored as a leaf"
         )
+    for field in ("site_id", "incarnation"):
+        if not isinstance(state.get(field), str):
+            raise unusable(field, state.get(field))
+    sequence = state.get("sequence")
+    if type(sequence) is not int or sequence < 0:
+        raise unusable("sequence", sequence)
+    retained = state.get("retained", [])
+    if not isinstance(retained, list) or not all(
+        isinstance(entry, dict) for entry in retained
+    ):
+        raise unusable("retained", retained)
+    for entry in retained:
+        number = entry.get("sequence")
+        if type(number) is not int or not 0 < number <= sequence:
+            raise unusable("retained sequence", number)
+        streams = entry.get("streams")
+        if not isinstance(streams, list) or not all(
+            isinstance(name, str) for name in streams
+        ):
+            raise unusable("retained streams", streams)
+        window_at = entry.get("window_at")
+        if window_at is not None and (
+            type(window_at) not in (int, float) or window_at != window_at
+        ):
+            raise unusable("retained window_at", window_at)
+
+
+def _restore_uplink_site(directory, state, coordinator) -> StreamSite:
+    """The uplink site of a checkpoint's ``extra["uplink"]`` state, its
+    retained exports read back from their ``uplink/`` files."""
+    _check_uplink_state(state)
     spec = coordinator.spec
     payloads = {}
     for entry in state.get("retained", ()):
@@ -261,6 +300,9 @@ class CoordinatorServer:
         self._applied_since_uplink = 0
         self._uplink_lock = asyncio.Lock()
         self._uplink_tasks: set[asyncio.Task] = set()
+        # Newest window_at stamp among the deltas folded since the last
+        # uplink cut (None: none folded, or an unwindowed fold target).
+        self._uncut_window_at: float | None = None
         if parent_port is not None:
             site = uplink_site
             if site is None:
@@ -322,8 +364,9 @@ class CoordinatorServer:
         uplink's shipped baselines are the restored families themselves
         (see :meth:`checkpoint`).  Pass the same ``parent_port`` (and
         friends) as the original run.  Uplink state written by the
-        format-2 layout, and an ill-typed ``extra["site_sequences"]``,
-        raise :class:`~repro.streams.checkpoint.CheckpointError`.
+        format-2 layout, and an ill-typed ``extra["site_sequences"]`` or
+        ``extra["uplink"]``, raise
+        :class:`~repro.streams.checkpoint.CheckpointError`.
 
         A checkpoint written by a *windowed* fold engine restores into
         that engine directly — the engine
@@ -516,7 +559,8 @@ class CoordinatorServer:
         retained: set[str] = set()
         if self._uplink is not None:
             uplink_site = self._uplink.site
-            uplink_site.export()
+            uplink_site.export(window_at=self._uncut_window_at)
+            self._uncut_window_at = None
             extra[_UPLINK_KEY] = uplink_site.to_state()
             unwritten = {}
             for export in uplink_site.exports_after(0):
@@ -561,11 +605,42 @@ class CoordinatorServer:
         if self._uplink is None:
             raise ValueError("no parent coordinator configured")
         async with self._uplink_lock:
-            if self._checkpoint_dir is not None:
-                self.checkpoint()
-            else:
-                self._uplink.site.export()
+            self._cut_uplink()
             await self._uplink.flush_retained()
+
+    def _cut_uplink(self) -> None:
+        """Cut one uplink export of everything folded since the last cut,
+        stamped with those deltas' newest ``window_at``."""
+        if self._checkpoint_dir is not None:
+            self.checkpoint()
+        else:
+            self._uplink.site.export(window_at=self._uncut_window_at)
+            self._uncut_window_at = None
+
+    def _keep_uplink_cut_in_one_bucket(self, window_at: float | None) -> None:
+        """Cut the uplink before folding a delta from another window bucket.
+
+        The parent files a whole uplink export in the one ring bucket
+        of its stamp, so one cut must never span two buckets: deltas
+        folded either side of a boundary and cut together would land a
+        bucket late at the parent (a ``window_at`` of 2.0 in bucket 1
+        and 2.1 in bucket 2, cut once and stamped 2.1).  Cutting here
+        is synchronous — the pending ``flush_retained`` of a concurrent
+        :meth:`ship_upstream` ships the extra export with the rest.
+
+        Only exports that :meth:`_apply` is about to fold come here, so
+        a re-shipped duplicate never cuts.  Sites whose clocks straddle
+        a boundary fold alternately from two buckets, and every switch
+        costs one cut (a full :meth:`checkpoint` when checkpointing)
+        until the slowest site crosses.
+        """
+        if self._uplink is None or window_at is None:
+            return
+        if self._uncut_window_at is None or not self.coordinator.is_windowed:
+            return
+        width = self.coordinator.fold_engine.bucket_width
+        if bucket_index(window_at, width) != bucket_index(self._uncut_window_at, width):
+            self._cut_uplink()
 
     def _maybe_ship_upstream(self) -> None:
         if self._uplink is None or self._uplink_every == 0:
@@ -775,6 +850,9 @@ class CoordinatorServer:
     def _apply(self, export: DeltaExport, stats: TransportStats) -> None:
         from repro.errors import DeltaSequenceError
 
+        last = self.coordinator.applied_sequence(export.site_id, export.incarnation)
+        if export.batch_start == last + 1:  # collect() folds it: no duplicate
+            self._keep_uplink_cut_in_one_bucket(export.window_at)
         try:
             applied = self.coordinator.collect(export)
         except DeltaSequenceError:
@@ -783,6 +861,11 @@ class CoordinatorServer:
             # and the site rewinds — and re-batches — from there.
             return
         if applied:
+            if self._uplink is not None and export.window_at is not None:
+                uncut = self._uncut_window_at
+                self._uncut_window_at = (
+                    export.window_at if uncut is None else max(uncut, export.window_at)
+                )
             stats.deltas_applied += export.batch_size
             stats.exports_coalesced += export.batch_size - 1
             stats.payload_bytes_wire += export.payload_bytes()

@@ -5,8 +5,7 @@
 :class:`TransportStats` one peer's delta-shipping traffic.  Each is a
 cheap snapshot, safe to read while ingestion continues.
 :class:`~repro.core.plan.HashPlanStats` (re-exported here) reports the
-shared hash plan's element-row cache — hit rate, evictions, and the
-hash-vs-scatter time breakdown — via
+shared hash plan's batch counts and hash-vs-scatter time breakdown via
 :meth:`repro.streams.engine.StreamEngine.plan_stats`.
 """
 

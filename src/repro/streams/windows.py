@@ -469,7 +469,7 @@ class WindowRing:
     # -- internals -------------------------------------------------------------
 
     def _bucket_of(self, at: float) -> int:
-        return math.ceil(at / self.bucket_width)
+        return bucket_index(at, self.bucket_width)
 
     def _expiry_threshold(self) -> int:
         """Largest bucket index that is fully expired at the current clock.
@@ -518,6 +518,12 @@ class WindowRing:
                 f"time went backwards: {value} after {self._clock}"
             )
         return value
+
+
+def bucket_index(at: float, bucket_width: float) -> int:
+    """The ring bucket covering instant ``at``: bucket ``b`` covers
+    ``((b-1)·width, b·width]``."""
+    return math.ceil(at / bucket_width)
 
 
 def check_window_config(

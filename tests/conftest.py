@@ -20,6 +20,15 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def numpy_oracle(monkeypatch):
+    """Run the test on the numpy paths the compiled kernel is checked
+    against (what every caller gets when no C compiler is available)."""
+    from repro.core import _kernel
+
+    monkeypatch.setattr(_kernel, "LIB", None)
+
+
+@pytest.fixture
 def small_shape() -> SketchShape:
     return SketchShape(domain_bits=20, num_second_level=8, independence=4)
 

@@ -1,7 +1,7 @@
 """Property tests for the incrementally maintained per-level aggregates.
 
 The invariant under test: after *any* sequence of maintenance operations
-(scalar updates, plan/legacy batches, churn, merges, serialisation
+(scalar updates, kernel/oracle batches, churn, merges, serialisation
 round-trips), ``SketchFamily.level_totals()`` and
 ``level_nonempty_counts()`` equal what a recomputation from the raw
 ``(r, levels, s, 2)`` counters yields — and the per-level dirty versions
@@ -53,10 +53,14 @@ class TestMaintenancePaths:
         family.update_batch(rng.integers(0, 2**16, size=64), np.full(64, 3))
         assert_aggregates_fresh(family)
 
-    def test_legacy_per_sketch_path(self):
+    def test_legacy_per_sketch_path(self, numpy_oracle):
+        """The numpy oracle keeps the aggregates exact too."""
         family = SPEC.build()
         rng = np.random.default_rng(2)
-        family.update_batch(rng.integers(0, 2**16, size=100), plan=None)
+        family.update_batch(rng.integers(0, 2**16, size=100))
+        family.update_batch(
+            rng.integers(0, 2**16, size=64), rng.integers(-3, 4, size=64)
+        )
         assert_aggregates_fresh(family)
 
     def test_churn_and_deletions(self):

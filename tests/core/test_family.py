@@ -218,3 +218,31 @@ class TestCheckSameCoins:
     def test_requires_at_least_one(self):
         with pytest.raises(ValueError):
             check_same_coins()
+
+
+class TestDeltaPayload:
+    """``delta_payload`` is diff_from + is_zero + to_bytes + a fresh
+    baseline copy, in one pass, on the kernel and on the numpy oracle."""
+
+    @pytest.mark.parametrize("path", ["kernel", "oracle"])
+    def test_matches_diff_and_advances_baseline(self, path, monkeypatch):
+        from repro.core import _kernel
+
+        if path == "oracle":
+            monkeypatch.setattr(_kernel, "LIB", None)
+        spec = SketchSpec(num_sketches=8, seed=3)
+        rng = np.random.default_rng(4)
+        family, baseline = spec.build(), spec.build()
+        family.update_batch(rng.integers(0, 2**20, size=300, dtype=np.uint64))
+        baseline.counters[:] = family.counters
+        family.update_batch(
+            rng.integers(0, 2**20, size=50, dtype=np.uint64),
+            rng.integers(-3, 4, size=50),
+        )
+        family.counters[0, 0, 0, 0] = np.iinfo(np.int64).min  # wraps
+        expected = family.diff_from(baseline).to_bytes()
+        assert family.delta_payload(baseline) == expected
+        assert np.array_equal(baseline.counters, family.counters)
+        assert family.delta_payload(baseline) is None
+        with pytest.raises(IncompatibleSketchesError):
+            family.delta_payload(SketchSpec(num_sketches=8, seed=4).build())

@@ -13,7 +13,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import _kernel
 from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
 from repro.errors import IncompatibleSketchesError
@@ -212,6 +215,104 @@ class TestMalformedPayloads:
         bomb = zlib.compress(b"\x00" * (8 * CELLS * 64), 9)
         with pytest.raises(codec.CodecError, match="inflates"):
             codec.decode_dense(bomb, "dense+zlib", CELLS)
+
+
+def on_both_paths(function, *args):
+    """``function(*args)`` on the compiled kernel and on the numpy
+    oracle; each outcome is its result or its ``CodecError`` message."""
+    outcomes = []
+    for lib in (_kernel.LIB, None):
+        saved, _kernel.LIB = _kernel.LIB, lib
+        try:
+            outcomes.append(function(*args))
+        except codec.CodecError as exc:
+            outcomes.append(("CodecError", str(exc)))
+        finally:
+            _kernel.LIB = saved
+    return outcomes
+
+
+def same_outcome(kernel, oracle) -> bool:
+    if isinstance(kernel, tuple) and len(kernel) == 2 and isinstance(kernel[0], np.ndarray):
+        return all(np.array_equal(a, b) for a, b in zip(kernel, oracle))
+    return kernel == oracle
+
+
+_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), 2**63 - 1, 2**62, -(2**62)]),
+)
+_SLABS = st.dictionaries(st.integers(0, CELLS - 1), _VALUES, max_size=200)
+
+
+@pytest.mark.skipif(_kernel.LIB is None, reason="compiled kernel not loaded")
+class TestKernelMatchesOracle:
+    """The compiled sparse codec against its numpy oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SLABS)
+    def test_sparse_body_byte_identical(self, cells):
+        dense = dense_with(cells)
+        kernel, oracle = on_both_paths(codec._sparse_body_from_dense, dense)
+        assert kernel == oracle
+        indices = np.asarray(sorted(cells), dtype=np.int64)
+        values = np.asarray([cells[i] for i in sorted(cells)], dtype=np.int64)
+        keep = values != 0
+        assert kernel == codec.encode_sparse_cells(indices[keep], values[keep])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SLABS)
+    def test_decode_identical(self, cells):
+        body = codec._sparse_body_from_dense(dense_with(cells))
+        kernel, oracle = on_both_paths(codec.decode_sparse_cells, body, CELLS)
+        assert same_outcome(kernel, oracle)
+        assert kernel[0].tolist() == sorted(i for i, v in cells.items() if v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.binary(max_size=40), st.integers(1, 2**40))
+    def test_random_bytes_decode_identically(self, count, data, num_cells):
+        """Arbitrary bodies: the same cells, or the same error."""
+        blob = struct.pack(">I", count) + data
+        kernel, oracle = on_both_paths(codec.decode_sparse_cells, blob, num_cells)
+        assert same_outcome(kernel, oracle)
+
+    @pytest.mark.parametrize(
+        "count,body,match",
+        [
+            (2, bytes([5, 1, 14]), "holds 3 values, expected 4"),  # truncated
+            (1, bytes([5, 0x80]), "holds 1 values, expected 2"),  # cut mid-run
+            (1, b"", "is empty"),
+            (0, b"\x00", "trailing bytes"),
+            (1, bytes([5, 14, 0]), "holds 3 values, expected 2"),  # trailing
+            (1, b"\xff" * 10 + b"\x00" + b"\x02", "longer than 10"),
+            (1, b"\xff" * 9 + b"\x02" + b"\x02", "overflows 64 bits"),
+            (1, bytes([0x80, 0x10]) + b"\x02", "exceed the counter slab"),  # gap 2048
+            (2, bytes([0xFF, 0x0F, 0x00, 2, 2]), "exceed the counter slab"),  # last
+            # Precedence: a later framing error beats an earlier overflow.
+            (1, b"\xff" * 9 + b"\x02", "holds 1 values, expected 2"),
+            # A later 11-byte run beats an earlier overflow.
+            (1, b"\xff" * 9 + b"\x02" + b"\xff" * 10 + b"\x00", "longer than 10"),
+        ],
+        ids=[
+            "truncated",
+            "cut-mid-run",
+            "empty",
+            "zero-count-trailing",
+            "trailing",
+            "11-byte-run",
+            "overflow",
+            "gap-beyond-slab",
+            "last-index-beyond-slab",
+            "framing-first",
+            "long-before-overflow",
+        ],
+    )
+    def test_malformed_bodies_raise_the_same_error(self, count, body, match):
+        blob = struct.pack(">I", count) + body
+        kernel, oracle = on_both_paths(codec.decode_sparse_cells, blob, 2048)
+        assert kernel == oracle
+        assert kernel[0] == "CodecError" and match in kernel[1]
 
 
 class TestSparseSlabs:

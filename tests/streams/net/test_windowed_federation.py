@@ -16,9 +16,11 @@ invisible.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 
 import numpy as np
+import pytest
 
 from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
@@ -52,6 +54,10 @@ def windowed_factory(spec: SketchSpec) -> StreamEngine:
 
 def make_client(site_id: str, port: int, seed: int) -> SiteClient:
     site = StreamSite(site_id, SPEC, engine=windowed_factory(SPEC))
+    return client_for(site, port, seed)
+
+
+def client_for(site: StreamSite, port: int, seed: int) -> SiteClient:
     return SiteClient(
         site,
         port=port,
@@ -272,5 +278,138 @@ class TestWindowedFederation:
             await leaf1.stop()
             await leaf2.stop()
             await root.stop()
+
+        run(scenario())
+
+
+class TestUplinkCutsStayInOneBucket:
+    """A leaf that folds site exports from two buckets before it ships
+    upstream must not hand the root one export spanning both: the root
+    files a whole uplink export under its one ``window_at`` stamp, so a
+    bucket-1 delta cut together with a bucket-2 delta would be counted
+    in bucket 2 there, and every sub-window from bucket 2 on would
+    disagree with the site's."""
+
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["plain", "checkpointed"])
+    def test_root_sub_windows_match_the_site(self, tmp_path, checkpointing):
+        width, span = 2.0, 8.0
+
+        def factory(spec):
+            return StreamEngine(spec, window_span=span, bucket_width=width)
+
+        async def scenario():
+            root = CoordinatorServer(SPEC, port=0, engine_factory=factory)
+            await root.start()
+            leaf = CoordinatorServer(
+                SPEC,
+                port=0,
+                engine_factory=factory,
+                parent_port=root.port,
+                uplink_id="leaf",
+                uplink_every=0,  # ship upstream only when told to
+                checkpoint_dir=str(tmp_path / "leaf") if checkpointing else None,
+                checkpoint_every=0,
+                uplink_options=uplink_options(7),
+            )
+            await leaf.start()
+            site = StreamSite("site", SPEC, engine=factory(SPEC))
+            client = client_for(site, leaf.port, 3)
+            rng = random.Random(5)
+            try:
+                # Two exports stamped 2.0 (bucket 1) and 2.1 (bucket 2),
+                # both folded by the leaf before its one uplink flush.
+                for at in (1.0, 1.5, 2.0):
+                    for _ in range(40):
+                        site.observe(
+                            Update(rng.choice("AB"), rng.randrange(1, 4000), 1), at
+                        )
+                await client.ship()
+                for _ in range(40):
+                    site.observe(Update(rng.choice("AB"), rng.randrange(1, 4000), 1), 2.1)
+                await client.ship()
+                await leaf.ship_upstream()
+                fold = root.coordinator.fold_engine
+                engine = site._engine
+                assert fold.window_clock == engine.window_clock == 2.1
+                for window in (width, 2 * width, span):
+                    for name in "AB":
+                        assert np.array_equal(
+                            fold.window_family(name, window).counters,
+                            engine.window_family(name, window).counters,
+                        ), (name, window)
+                    root_answer = root.coordinator.query("A & B", 0.25, window=window)
+                    site_answer = engine.query("A & B", 0.25, window=window)
+                    assert root_answer.value == site_answer.value
+            finally:
+                await client.close()
+                await leaf.stop()
+                await root.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["plain", "checkpointed"])
+    def test_skewed_sites_cut_once_per_bucket_switch(self, tmp_path, checkpointing):
+        """Two sites whose clocks lag by two ticks straddle every
+        boundary for a while, so the leaf folds alternately from two
+        buckets.  It cuts once per switch of the fold order's bucket
+        (at most five per boundary at this lag), never for a re-shipped
+        duplicate, and the root still matches the leaf in every window."""
+        width, span, tick, lag = 2.0, 8.0, 0.5, 1.0
+
+        def factory(spec):
+            return StreamEngine(spec, window_span=span, bucket_width=width)
+
+        async def scenario():
+            root = CoordinatorServer(SPEC, port=0, engine_factory=factory)
+            await root.start()
+            leaf = CoordinatorServer(
+                SPEC,
+                port=0,
+                engine_factory=factory,
+                parent_port=root.port,
+                uplink_id="leaf",
+                uplink_every=0,
+                checkpoint_dir=str(tmp_path / "leaf") if checkpointing else None,
+                checkpoint_every=0,
+                uplink_options=uplink_options(11),
+            )
+            await leaf.start()
+            sites = [StreamSite(name, SPEC, engine=factory(SPEC)) for name in ("ahead", "behind")]
+            clients = [client_for(site, leaf.port, 20 + i) for i, site in enumerate(sites)]
+            rng = random.Random(9)
+            folded, shipped = [], []
+            try:
+                for k in range(3, 17):
+                    for site, client, at in zip(sites, clients, (k * tick, k * tick - lag)):
+                        for _ in range(20):
+                            site.observe(Update(rng.choice("AB"), rng.randrange(1, 4000), 1), at)
+                        shipped.append(await client.ship())
+                        folded.append(math.ceil(at / width))
+                uplink = leaf._uplink.site
+                switches = sum(a != b for a, b in zip(folded, folded[1:]))
+                boundaries = folded[-1] - folded[0]
+                assert uplink.sequence == switches
+                assert switches <= boundaries * (2 * round(lag / tick) + 1)
+                if checkpointing:
+                    assert leaf.checkpoints_written == switches
+                # The lagging site's first export again (a lost ack's
+                # re-sync): a bucket-1 duplicate after bucket-4 folds.
+                await clients[1]._send_export(shipped[1])
+                assert uplink.sequence == switches
+                await leaf.ship_upstream()
+                assert uplink.sequence == switches + 1
+                ref, fold = leaf.coordinator.fold_engine, root.coordinator.fold_engine
+                assert fold.window_clock == ref.window_clock == 16 * tick
+                for window in (width, 2 * width, 3 * width, span):
+                    for name in "AB":
+                        assert np.array_equal(
+                            fold.window_family(name, window).counters,
+                            ref.window_family(name, window).counters,
+                        ), (name, window)
+            finally:
+                for client in clients:
+                    await client.close()
+                await leaf.stop()
+                await root.stop()
 
         run(scenario())

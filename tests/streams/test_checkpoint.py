@@ -179,6 +179,105 @@ class TestFailureModes:
         with pytest.raises(CheckpointError, match="sequence"):
             CoordinatorServer.restore(tmp_path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("section", ["not", "a", "mapping"]),
+            ("window_span", None),
+            ("window_span", "eight"),
+            ("bucket_width", "two"),
+            ("bucket_width", 3.0),  # does not divide the span
+            ("clock", "noon"),
+            ("clock_policy", "rewind"),
+            ("streams", ["A", "B"]),
+            ("streams", {"A": "1,2"}),
+            ("streams", {"A": [1.5]}),
+        ],
+        ids=[
+            "section-not-a-mapping",
+            "span-missing",
+            "span-ill-typed",
+            "width-ill-typed",
+            "width-not-dividing-span",
+            "clock-ill-typed",
+            "policy-unknown",
+            "streams-a-list",
+            "buckets-not-a-list",
+            "bucket-not-an-integer",
+        ],
+    )
+    def test_malformed_window_section(self, tmp_path, field, value):
+        """A malformed ``extra["windows"]`` is a CheckpointError, not a
+        bare AttributeError/ValueError from the ring restore."""
+        engine = StreamEngine(SPEC, window_span=8.0, bucket_width=2.0)
+        for at in range(1, 6):
+            engine.observe(Update("A", at, 1), float(at))
+        checkpoint_engine(engine, tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if field == "section":
+            manifest["extra"]["windows"] = value
+        elif value is None:
+            del manifest["extra"]["windows"][field]
+        else:
+            manifest["extra"]["windows"][field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="windows"):
+            restore_engine(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("site_id", None),
+            ("site_id", 7),
+            ("incarnation", ["abc"]),
+            ("sequence", "two"),
+            ("sequence", -1),
+            ("retained", "all"),
+            ("retained", [3]),
+            ("retained sequence", "one"),
+            ("retained sequence", 99),
+            ("retained streams", "A"),
+            ("retained window_at", "soon"),
+        ],
+        ids=[
+            "site-id-missing",
+            "site-id-ill-typed",
+            "incarnation-ill-typed",
+            "sequence-not-an-integer",
+            "sequence-negative",
+            "retained-not-a-list",
+            "retained-entry-not-a-mapping",
+            "retained-sequence-ill-typed",
+            "retained-sequence-ahead",
+            "retained-streams-not-a-list",
+            "retained-window-at-ill-typed",
+        ],
+    )
+    def test_malformed_uplink_state(self, tmp_path, field, value):
+        """A leaf restore validates ``extra["uplink"]``: ill-typed fields
+        are a CheckpointError, not a bare ValueError/KeyError."""
+        from repro.streams.net.coordinator import CoordinatorServer
+
+        leaf = CoordinatorServer(
+            SPEC, parent_port=1, uplink_id="leaf", checkpoint_dir=tmp_path
+        )
+        leaf.coordinator.adopt_family("A", loaded_engine().family("A"))
+        leaf.checkpoint()  # retains uplink export 1
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        uplink = manifest["extra"]["uplink"]
+        assert uplink["retained"]  # the cases below edit a real entry
+        if field.startswith("retained "):
+            uplink["retained"][0][field.split()[1]] = value
+        elif value is None:
+            del uplink[field]
+        else:
+            uplink[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=field):
+            CoordinatorServer.restore(tmp_path, parent_port=1)
+
     def test_sharded_layout_refused(self, tmp_path):
         """A checkpoint of the retired sharded engine (a ``shards`` key and
         one payload per shard and stream) is refused by name."""
