@@ -68,6 +68,7 @@ def check_codec_roundtrip(spec: SketchSpec, seed: int) -> None:
                 -(2**62), 2**62, size=nonzero, dtype=np.int64
             )
         payload = dense.tobytes()
+        nonzero_at = np.flatnonzero(dense)
         for allowed in (
             codec.DENSE_ONLY,
             ("sparse",),
@@ -75,7 +76,9 @@ def check_codec_roundtrip(spec: SketchSpec, seed: int) -> None:
             ("sparse+zlib",),
             codec.PREFERRED_ENCODINGS,
         ):
-            encoding, blob = codec.encode_delta(payload, allowed)
+            encoding, blob = codec.encode_delta(
+                nonzero_at, dense[nonzero_at], cells, allowed
+            )
             decoded = codec.decode_dense(blob, encoding, cells)
             if bytes(decoded) != payload:
                 raise SystemExit(
@@ -93,7 +96,9 @@ def check_sparse_beats_dense(spec: SketchSpec, seed: int) -> None:
     indices = rng.choice(cells, size=touched, replace=False)
     dense[indices] = rng.integers(1, 1000, size=touched, dtype=np.int64)
     payload = dense.tobytes()
-    encoding, blob = codec.encode_delta(payload, codec.PREFERRED_ENCODINGS)
+    encoding, blob = codec.encode_delta(
+        np.sort(indices), dense[np.sort(indices)], cells, codec.PREFERRED_ENCODINGS
+    )
     if not encoding.startswith("sparse"):
         raise SystemExit(
             f"codec picked {encoding!r} for a 1%-sparse payload"

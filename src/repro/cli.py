@@ -740,9 +740,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"served {server.total_deltas_applied} deltas over streams "
                 f"{streams}; {server.checkpoints_written} checkpoints"
             )
-            fold = server.coordinator.fold_engine
-            if fold is not None and hasattr(fold, "close"):
-                fold.close()
 
     try:
         asyncio.run(run())

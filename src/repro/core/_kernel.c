@@ -7,12 +7,15 @@
  *
  *   hash_scatter   HashPlan.hash_scatter_numpy   (repro/core/plan.py)
  *   diff_advance   SketchFamily.delta_payload    (repro/core/family.py)
+ *   merge_cells    sum_cells                     (repro/core/family.py)
  *   sparse_body    encode_sparse_cells           (repro/streams/net/codec.py)
  *   sparse_decode  decode_sparse_cells           (repro/streams/net/codec.py)
+ *
+ * A delta travels as its non-zero cells: strictly increasing flat indices
+ * into the counter slab and their int64 values.
  */
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define MERSENNE_P ((UINT64_C(1) << 61) - 1)
 
@@ -72,19 +75,52 @@ int hash_scatter(const uint64_t *elements, const int64_t *counts, int64_t n,
     return 0;
 }
 
-/* delta = current - baseline (wrapping), then baseline = current, in one
- * pass over n cells.  Returns the number of non-zero delta cells. */
-int64_t diff_advance(const int64_t *current, int64_t *baseline, int64_t *delta,
-                     int64_t n)
+/* The non-zero cells of current - baseline (wrapping), then baseline =
+ * current, in one pass over n cells.  indices and values must hold n
+ * entries; the cells land in their first nnz, in ascending index order.
+ * Returns nnz.  The writes are unconditional, so the loop has no branch
+ * on the data. */
+int64_t diff_advance(const int64_t *current, int64_t *baseline,
+                     int64_t *indices, int64_t *values, int64_t n)
 {
     int64_t nnz = 0;
     for (int64_t i = 0; i < n; i++) {
         uint64_t d = (uint64_t)current[i] - (uint64_t)baseline[i];
-        delta[i] = (int64_t)d;
+        indices[nnz] = i;
+        values[nnz] = (int64_t)d;
         baseline[i] = current[i];
         nnz += d != 0;
     }
     return nnz;
+}
+
+/* Sum two cell sets into out_indices/out_values (each must hold na + nb
+ * entries), adding values (wrapping) where the indices meet and dropping
+ * cells that sum to zero.  Returns the number of cells written. */
+int64_t merge_cells(const int64_t *a_indices, const int64_t *a_values,
+                    int64_t na, const int64_t *b_indices,
+                    const int64_t *b_values, int64_t nb,
+                    int64_t *out_indices, int64_t *out_values)
+{
+    int64_t i = 0, j = 0, n = 0;
+    while (i < na || j < nb) {
+        int64_t index;
+        uint64_t value;
+        if (j >= nb || (i < na && a_indices[i] < b_indices[j])) {
+            index = a_indices[i];
+            value = (uint64_t)a_values[i++];
+        } else if (i >= na || b_indices[j] < a_indices[i]) {
+            index = b_indices[j];
+            value = (uint64_t)b_values[j++];
+        } else {
+            index = a_indices[i];
+            value = (uint64_t)a_values[i++] + (uint64_t)b_values[j++];
+        }
+        out_indices[n] = index;
+        out_values[n] = (int64_t)value;
+        n += value != 0;
+    }
+    return n;
 }
 
 static inline uint8_t *put_varint(uint8_t *p, uint64_t v)
@@ -97,25 +133,23 @@ static inline uint8_t *put_varint(uint8_t *p, uint64_t v)
     return p;
 }
 
-/* The sparse body of a dense int64 slab holding nnz non-zero cells,
- * without its u32 count: nnz LEB128 index gaps, then nnz LEB128 zigzag
- * values.  out must hold 20 * nnz bytes; the values are staged in its
- * second half and moved down behind the gaps.  Returns the body length.
- */
-int64_t sparse_body(const int64_t *slab, int64_t n, int64_t nnz, uint8_t *out)
+/* The sparse body of nnz cells, without its u32 count: nnz LEB128 index
+ * gaps, then nnz LEB128 zigzag values.  out must hold 20 * nnz bytes.
+ * Returns the body length. */
+int64_t sparse_body(const int64_t *indices, const int64_t *values,
+                    int64_t nnz, uint8_t *out)
 {
-    uint8_t *gap = out, *staged = out + 10 * nnz, *value = staged;
+    uint8_t *p = out;
     int64_t previous = -1;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t x = slab[i];
-        if (x == 0)
-            continue;
-        gap = put_varint(gap, (uint64_t)(i - previous - 1));
-        previous = i;
-        value = put_varint(value, ((uint64_t)x << 1) ^ (uint64_t)(x >> 63));
+    for (int64_t i = 0; i < nnz; i++) {
+        p = put_varint(p, (uint64_t)(indices[i] - previous - 1));
+        previous = indices[i];
     }
-    memmove(gap, staged, (size_t)(value - staged));
-    return (gap - out) + (value - staged);
+    for (int64_t i = 0; i < nnz; i++) {
+        uint64_t x = (uint64_t)values[i];
+        p = put_varint(p, (x << 1) ^ (uint64_t)(values[i] >> 63));
+    }
+    return p - out;
 }
 
 /* Decode a sparse body (after its u32 count) into count strictly

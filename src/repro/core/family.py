@@ -34,7 +34,13 @@ from repro.core.sketch import (
 )
 from repro.errors import DomainError, IncompatibleSketchesError
 
-__all__ = ["SketchSpec", "SketchFamily", "check_same_coins", "sum_families"]
+__all__ = [
+    "SketchSpec",
+    "SketchFamily",
+    "check_same_coins",
+    "sum_cells",
+    "sum_families",
+]
 
 
 @dataclass(frozen=True)
@@ -460,30 +466,41 @@ class SketchFamily:
         self._check_compatible(baseline)
         return SketchFamily(self.spec, self.counters - baseline.counters)
 
-    def delta_payload(self, baseline: "SketchFamily") -> bytes | None:
-        """Advance ``baseline`` to this family; return what it moved by.
+    def delta_payload(
+        self, baseline: "SketchFamily"
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Advance ``baseline`` to this family; return the cells it moved.
 
-        Returns the :meth:`to_bytes` payload of ``self - baseline`` and
+        Returns the :meth:`nonzero_cells` of ``self - baseline`` and
         overwrites ``baseline``'s counters with this family's, or returns
         ``None`` (baseline unchanged in value) when the two are equal —
-        what :meth:`diff_from`, :meth:`is_zero`, :meth:`to_bytes` and a
-        fresh :meth:`copy` as the next baseline compute, in one pass over
-        the slab (the compiled kernel's ``diff_advance`` when it loaded).
+        what :meth:`diff_from`, :meth:`nonzero_cells` and a fresh
+        :meth:`copy` as the next baseline compute, in one pass over the
+        slab (the compiled kernel's ``diff_advance`` when it loaded).
         ``baseline`` is a private snapshot: its incremental aggregates
         are not maintained.
         """
         self._check_compatible(baseline)
-        current, previous = self.counters, baseline.counters
+        current = self.counters.reshape(-1)
+        previous = baseline.counters.reshape(-1)
         lib = _kernel.LIB
         if lib is None:
             delta = current - previous
             np.copyto(previous, current)
-            return delta.astype("<i8").tobytes() if delta.any() else None
-        delta = np.empty_like(current)
+            indices = np.flatnonzero(delta)
+            return (indices, delta[indices]) if indices.size else None
+        indices = np.empty(current.size, dtype=np.int64)
+        values = np.empty(current.size, dtype=np.int64)
         nonzero = lib.diff_advance(
-            current.ctypes.data, previous.ctypes.data, delta.ctypes.data, delta.size
+            current.ctypes.data,
+            previous.ctypes.data,
+            indices.ctypes.data,
+            values.ctypes.data,
+            current.size,
         )
-        return delta.tobytes() if nonzero else None
+        if not nonzero:
+            return None
+        return indices[:nonzero].copy(), values[:nonzero].copy()
 
     def is_zero(self) -> bool:
         """True iff every counter is exactly zero (an empty delta).
@@ -695,6 +712,57 @@ def sum_families(
     # incremental level aggregates so the query-plan layer stays exact.
     out.refresh_aggregates()
     return out
+
+
+def sum_cells(
+    cell_sets: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the entrywise sum of several sparse deltas.
+
+    Each input is an ``(indices, values)`` pair as
+    :meth:`SketchFamily.nonzero_cells` returns it (strictly increasing
+    flat indices).  The result is the same kind of pair: by linearity,
+    the delta of the combined updates, with cells whose sum is zero
+    dropped.  Values add as wrapping ``int64``, like counters do.  The
+    compiled kernel's ``merge_cells`` folds the sets in one by one when
+    it loaded; the sort-and-reduce below is its oracle.
+    """
+    lib = _kernel.LIB
+    if lib is None:
+        return _sum_cells_numpy(cell_sets)
+    indices = values = np.zeros(0, dtype=np.int64)
+    for more_indices, more_values in cell_sets:
+        more_indices = np.ascontiguousarray(more_indices, dtype=np.int64)
+        more_values = np.ascontiguousarray(more_values, dtype=np.int64)
+        size = indices.size + more_indices.size
+        out_indices = np.empty(size, dtype=np.int64)
+        out_values = np.empty(size, dtype=np.int64)
+        count = lib.merge_cells(
+            indices.ctypes.data,
+            values.ctypes.data,
+            indices.size,
+            more_indices.ctypes.data,
+            more_values.ctypes.data,
+            more_indices.size,
+            out_indices.ctypes.data,
+            out_values.ctypes.data,
+        )
+        indices, values = out_indices[:count], out_values[:count]
+    return indices.copy(), values.copy()
+
+
+def _sum_cells_numpy(cell_sets) -> tuple[np.ndarray, np.ndarray]:
+    empty = [np.zeros(0, dtype=np.int64)]
+    indices = np.concatenate(empty + [np.asarray(i, np.int64) for i, _ in cell_sets])
+    values = np.concatenate(empty + [np.asarray(v, np.int64) for _, v in cell_sets])
+    if not indices.size:
+        return indices, values
+    order = np.argsort(indices, kind="stable")
+    indices, values = indices[order], values[order]
+    starts = np.flatnonzero(np.r_[True, indices[1:] != indices[:-1]])
+    sums = np.add.reduceat(values, starts)
+    keep = sums != 0
+    return indices[starts][keep], sums[keep]
 
 
 def check_same_coins(*families: SketchFamily) -> SketchSpec:

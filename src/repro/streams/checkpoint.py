@@ -35,7 +35,7 @@ published, read back with :func:`read_checkpoint_file`, and dropped with
 :func:`prune_checkpoint_files` once a published manifest no longer needs
 them.  The network coordinator keeps each retained uplink export there
 as one sparse-cell file (:func:`~repro.streams.net.codec.
-encode_sparse_slabs`), written once however many checkpoints it stays
+encode_cell_sets`), written once however many checkpoints it stays
 retained for.
 
 Format-1 (raw names, no mapping) and format-2 (in-place writes)

@@ -18,9 +18,9 @@ Two properties of the 2-level hash sketch make this work:
 Earlier versions shipped each site's **cumulative** counters, which made
 collecting from the same site twice double-count every update seen before
 the first export.  Linearity offers the structural fix: a site now ships
-:class:`DeltaExport` objects — the counter *diff* since its previous
-export (:meth:`~repro.core.family.SketchFamily.diff_from`), tagged with
-the site id and a monotone sequence number.  The coordinator applies each
+:class:`DeltaExport` objects — the non-zero cells of the counter *diff*
+since its previous export (:class:`DeltaPayload`), tagged with the site
+id and a monotone sequence number.  The coordinator applies each
 ``(site, sequence)`` at most once, in order, so
 
 * re-collecting (a retransmit, a retried RPC) is **idempotent** — the
@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.expression import estimate_expression
-from repro.core.family import SketchFamily, SketchSpec
+from repro.core.family import SketchFamily, SketchSpec, sum_cells
 from repro.core.results import UnionEstimate, WitnessEstimate
 from repro.core.union import estimate_union
 from repro.errors import DeltaSequenceError, UnknownStreamError
@@ -55,23 +55,154 @@ from repro.expr.parser import parse
 from repro.streams.engine import StreamEngine
 from repro.streams.updates import Update
 
-__all__ = ["DeltaExport", "StreamSite", "Coordinator", "coalesce_exports"]
+__all__ = [
+    "DeltaPayload",
+    "DeltaExport",
+    "StreamSite",
+    "Coordinator",
+    "coalesce_exports",
+]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only ``int64`` view of ``array`` (payloads are shared)."""
+    view = np.asarray(array, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
+
+
+class DeltaPayload:
+    """One stream's counter delta: its non-zero cells and its wire blob.
+
+    The cells are the delta's strictly increasing flat ``indices`` into
+    the ``(r, levels, s, 2)`` counter slab and their non-zero ``int64``
+    ``values`` (:meth:`~repro.core.family.SketchFamily.nonzero_cells`);
+    the wire form is one ``(encoding, blob)`` pair of
+    :mod:`repro.streams.net.codec`.  A payload starts from either side
+    — a site's export from cells (:meth:`from_cells`), a received frame
+    from its blob (:meth:`from_wire`) — and computes the other at most
+    once, on first use, and keeps it.  So a delta is encoded once
+    however often it is retransmitted or re-synced, and a mid-tree
+    node forwards a child's delta in the very blob it arrived in.
+
+    Both sides are immutable once set (the cell arrays are read-only),
+    which is what lets one payload be shared by a site's retained
+    export, a coordinator's pending cut and a batch.
+    """
+
+    __slots__ = ("_indices", "_values", "_num_cells", "_encoding", "_blob")
+
+    def __init__(self) -> None:
+        self._indices: np.ndarray | None = None
+        self._values: np.ndarray | None = None
+        self._num_cells: int | None = None
+        self._encoding: str | None = None
+        self._blob: bytes | None = None
+
+    @classmethod
+    def from_cells(
+        cls, indices: np.ndarray, values: np.ndarray, num_cells: int
+    ) -> "DeltaPayload":
+        """A payload of cells over a ``num_cells``-cell slab, not yet
+        encoded."""
+        payload = cls()
+        payload._indices, payload._values = _frozen(indices), _frozen(values)
+        if payload._indices.shape != payload._values.shape:
+            raise ValueError("cell indices and values must align")
+        payload._num_cells = int(num_cells)
+        return payload
+
+    @classmethod
+    def from_wire(cls, encoding: str, blob: bytes) -> "DeltaPayload":
+        """A payload as received: its blob, decoded on first
+        :meth:`cells` call."""
+        payload = cls()
+        payload._encoding, payload._blob = encoding, blob
+        return payload
+
+    @property
+    def encoding(self) -> str | None:
+        """The wire encoding of the kept blob (``None`` before any)."""
+        return self._encoding
+
+    @property
+    def blob(self) -> bytes | None:
+        """The kept wire blob (``None`` until first encoded)."""
+        return self._blob
+
+    def cells(self, num_cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(indices, values)`` cells, decoding the blob the first
+        time against a ``num_cells``-cell slab.
+
+        A malformed blob raises
+        :class:`~repro.streams.net.codec.CodecError`; a blob in a
+        dense-based encoding becomes cells through
+        :meth:`~repro.core.family.SketchFamily.nonzero_cells`' rule
+        (every non-zero counter).
+        """
+        if self._indices is None:
+            # Deferred so importing this module never pulls the network
+            # stack in (repro.streams.net imports this module back).
+            from repro.streams.net import codec
+
+            cells = codec.decode_cells(self._blob, self._encoding, num_cells)
+            if cells is None:  # dense-based encoding (e.g. dense+zlib)
+                counters = np.frombuffer(
+                    codec.decode_dense(self._blob, self._encoding, num_cells),
+                    dtype="<i8",
+                )
+                indices = np.flatnonzero(counters)
+                cells = indices, counters[indices]
+            self._indices, self._values = _frozen(cells[0]), _frozen(cells[1])
+            self._num_cells = int(num_cells)
+        return self._indices, self._values
+
+    def wire(
+        self, allowed: Sequence[str], *, compress_level: int = 6
+    ) -> tuple[str, bytes]:
+        """The ``(encoding, blob)`` to ship in a session allowing
+        ``allowed`` encodings (``dense`` always is).
+
+        The kept blob is reused whenever its encoding is allowed;
+        otherwise the cells are encoded once through
+        :func:`~repro.streams.net.codec.encode_delta` (smallest allowed
+        encoding) and that blob is kept instead.
+        """
+        if self._encoding is not None and (
+            self._encoding == "dense" or self._encoding in allowed
+        ):
+            return self._encoding, self._blob
+        if self._indices is None:
+            raise ValueError(
+                f"a payload received as {self._encoding!r} must be decoded "
+                f"(cells()) before it can be re-encoded"
+            )
+        from repro.streams.net import codec
+
+        self._encoding, self._blob = codec.encode_delta(
+            self._indices,
+            self._values,
+            self._num_cells,
+            allowed,
+            compress_level=compress_level,
+        )
+        return self._encoding, self._blob
 
 
 @dataclass(frozen=True)
 class DeltaExport:
     """One site's shippable unit: counter deltas since its previous export.
 
-    ``payloads`` maps stream name to the serialised *delta* counters
-    (:meth:`~repro.core.family.SketchFamily.to_bytes` of the diff family);
-    streams whose counters did not change since the previous export are
-    omitted.  ``sequence`` starts at 1 and increases by exactly one per
-    :meth:`StreamSite.export` call, which is what makes retransmits
-    detectable (and droppable) at the coordinator.  ``incarnation``
-    scopes the numbering to one lifetime of the exporting site process:
-    a restarted site starts a fresh incarnation (and fresh counters), so
-    its sequence 1 can never be confused with — or dropped as a
-    duplicate of — a previous life's.
+    ``payloads`` maps stream name to its *delta* counters, a
+    :class:`DeltaPayload` (non-zero cells, plus the wire blob once
+    encoded or as received); streams whose counters did not change
+    since the previous export are omitted.  ``sequence`` starts at 1 and
+    increases by exactly one per :meth:`StreamSite.export` call, which
+    is what makes retransmits detectable (and droppable) at the
+    coordinator.  ``incarnation`` scopes the numbering to one lifetime
+    of the exporting site process: a restarted site starts a fresh
+    incarnation (and fresh counters), so its sequence 1 can never be
+    confused with — or dropped as a duplicate of — a previous life's.
 
     A **batch** export (:func:`coalesce_exports`) covers the contiguous
     sequence range ``first_sequence..sequence``; by linearity its
@@ -79,12 +210,6 @@ class DeltaExport:
     applying the batch is equivalent to applying each export in turn.
     ``first_sequence`` of 0 means the export covers just ``sequence``
     (the common, unbatched case).
-
-    ``encodings`` maps stream name to the wire encoding of its payload
-    (:mod:`repro.streams.net.codec`); streams absent from the mapping
-    carry plain dense ``to_bytes`` slabs.  In-process exports are always
-    dense — encodings appear only on exports rebuilt from v2 network
-    frames, and :meth:`Coordinator.collect` decodes them at fold time.
 
     ``window_at`` stamps the export with the shipping site's window
     watermark: every update the deltas summarise was observed at or
@@ -98,10 +223,9 @@ class DeltaExport:
 
     site_id: str
     sequence: int
-    payloads: Mapping[str, bytes] = field(default_factory=dict)
+    payloads: Mapping[str, DeltaPayload] = field(default_factory=dict)
     incarnation: str = ""
     first_sequence: int = 0
-    encodings: Mapping[str, str] = field(default_factory=dict)
     window_at: float | None = None
 
     @property
@@ -120,8 +244,12 @@ class DeltaExport:
         return self.sequence - self.batch_start + 1
 
     def payload_bytes(self) -> int:
-        """Total serialised counter bytes in this export."""
-        return sum(len(payload) for payload in self.payloads.values())
+        """Total wire bytes of this export's blobs (0 before encoding)."""
+        return sum(
+            len(payload.blob)
+            for payload in self.payloads.values()
+            if payload.blob is not None
+        )
 
 
 def coalesce_exports(
@@ -137,14 +265,19 @@ def coalesce_exports(
     is all-zero are dropped (e.g. an increment in one export undone by a
     decrement in the next).
 
-    The inputs must come from one site and incarnation, carry dense
-    (unencoded) payloads, form a contiguous ascending sequence run —
-    exactly the shape of a :meth:`StreamSite.exports_after` tail — and
-    agree on ``window_at``.  The last condition is what keeps batching
-    sound under windowing: exports cut at different watermarks belong in
-    different ring buckets at the coordinator, so summing them would
-    smear traffic across buckets; group a retained tail into equal-
-    ``window_at`` runs before coalescing (:mod:`repro.streams.net` does).
+    The inputs must come from one site and incarnation, form a
+    contiguous ascending sequence run — exactly the shape of a
+    :meth:`StreamSite.exports_after` tail — and agree on ``window_at``.
+    The last condition is what keeps batching sound under windowing:
+    exports cut at different watermarks belong in different ring buckets
+    at the coordinator, so summing them would smear traffic across
+    buckets; group a retained tail into equal-``window_at`` runs before
+    coalescing (:mod:`repro.streams.net` does).
+
+    A stream that only one input carries keeps that input's payload,
+    wire blob and all; the others are summed as cells
+    (:func:`~repro.core.family.sum_cells`) and encoded once, when the
+    batch ships.  Received payloads are decoded (and validated) first.
     """
     if not exports:
         raise ValueError("cannot coalesce an empty export list")
@@ -171,32 +304,23 @@ def coalesce_exports(
                 f"watermarks ({head.window_at!r} and "
                 f"{current.window_at!r}); batch equal-window_at runs only"
             )
-    expected = spec.counter_payload_bytes
-    totals: dict[str, np.ndarray] = {}
-    for export in exports:
-        if export.encodings:
-            raise ValueError(
-                "cannot coalesce wire-encoded exports; decode them first"
-            )
-        for stream, payload in export.payloads.items():
-            if len(payload) != expected:
-                raise ValueError(
-                    f"stream {stream!r} payload is {len(payload)} bytes; "
-                    f"the spec calls for {expected}"
-                )
-            delta = np.frombuffer(payload, dtype="<i8")
-            total = totals.get(stream)
-            if total is None:
-                totals[stream] = delta.astype(np.int64)  # owned copy
-            else:
-                total += delta
     if len(exports) == 1:
-        return exports[0]
-    payloads = {
-        stream: total.astype("<i8").tobytes()
-        for stream, total in totals.items()
-        if total.any()
-    }
+        return head
+    parts: dict[str, list[DeltaPayload]] = {}
+    for export in exports:
+        for stream, payload in export.payloads.items():
+            parts.setdefault(stream, []).append(payload)
+    num_cells = spec.counter_cells
+    payloads = {}
+    for stream, stream_parts in parts.items():
+        if len(stream_parts) == 1:
+            payloads[stream] = stream_parts[0]
+            continue
+        indices, values = sum_cells(
+            [payload.cells(num_cells) for payload in stream_parts]
+        )
+        if indices.size:
+            payloads[stream] = DeltaPayload.from_cells(indices, values, num_cells)
     return DeltaExport(
         site_id=head.site_id,
         sequence=exports[-1].sequence,
@@ -220,10 +344,12 @@ class StreamSite:
     ``engine`` makes the summarised state pluggable: a
     :class:`StreamEngine` (the default) or a :class:`Coordinator` (a
     mid-tree coordinator re-exporting its *aggregated* state to a
-    parent — the uplink of a federation tree).  Exports always diff
-    against the per-stream baseline of the previous export, so whatever
-    the backing engine is, consecutive exports never overlap and sum to
-    the full state.
+    parent — the uplink of a federation tree).  A stream engine's
+    exports diff its families against per-stream baselines of the
+    previous export; a coordinator's exports are the per-stream sums of
+    the deltas it folded since the previous export
+    (:meth:`Coordinator.take_pending`).  Either way consecutive exports
+    never overlap and sum to the full state.
     """
 
     def __init__(
@@ -243,9 +369,11 @@ class StreamSite:
         # dropping them as duplicates.
         self.incarnation = incarnation or uuid.uuid4().hex
         self._engine = engine if engine is not None else StreamEngine(spec)
+        if isinstance(self._engine, Coordinator):
+            self._engine.record_pending()
         self._sequence = 0
-        # Counter snapshots as of the last export, per stream; the next
-        # export diffs against these, so consecutive exports never overlap.
+        # Counter snapshots as of the last export, per stream, for a
+        # stream-engine backing; the next export diffs against these.
         self._shipped: dict[str, SketchFamily] = {}
         # sequence -> export, kept until acknowledged (fail-over replay).
         self._retained: dict[int, DeltaExport] = {}
@@ -304,16 +432,10 @@ class StreamSite:
             clock = self._engine.window_clock
             if clock != float("-inf"):
                 window_at = clock
-        payloads: dict[str, bytes] = {}
-        for name, family in self._engine.families().items():
-            baseline = self._shipped.get(name)
-            if baseline is not None:
-                payload = family.delta_payload(baseline)  # advances it
-                if payload is not None:
-                    payloads[name] = payload
-            elif not family.is_zero():
-                payloads[name] = family.to_bytes()
-                self._shipped[name] = family.copy()
+        if isinstance(self._engine, Coordinator):
+            payloads = self._engine.take_pending()
+        else:
+            payloads = self._diff_payloads()
         self._sequence += 1
         export = DeltaExport(
             self.site_id,
@@ -324,6 +446,23 @@ class StreamSite:
         )
         self._retained[export.sequence] = export
         return export
+
+    def _diff_payloads(self) -> dict[str, DeltaPayload]:
+        """Each engine family's cells since its baseline, which advances."""
+        payloads = {}
+        num_cells = self.spec.counter_cells
+        for name, family in self._engine.families().items():
+            baseline = self._shipped.get(name)
+            if baseline is not None:
+                cells = family.delta_payload(baseline)  # advances it
+            else:
+                cells = family.nonzero_cells()
+                if not cells[0].size:
+                    continue
+                self._shipped[name] = family.copy()
+            if cells is not None:
+                payloads[name] = DeltaPayload.from_cells(*cells, num_cells)
+        return payloads
 
     def acknowledge(self, sequence: int) -> None:
         """Drop retained exports up to and including ``sequence``.
@@ -366,8 +505,7 @@ class StreamSite:
         ``window_at``.  It holds no counters: the retained exports'
         payloads are stored beside it by the caller (the network
         coordinator writes one sparse file per export) and handed back
-        to :meth:`from_state`, and the shipped baselines are not stored
-        at all — see :meth:`from_state`.
+        to :meth:`from_state`.
         """
         return {
             "site_id": self.site_id,
@@ -391,26 +529,25 @@ class StreamSite:
         state: Mapping,
         spec: SketchSpec,
         *,
-        engine=None,
-        payloads: Mapping[int, Mapping[str, bytes]] | None = None,
+        engine: "Coordinator",
+        payloads: Mapping[int, Mapping[str, DeltaPayload]] | None = None,
     ) -> "StreamSite":
-        """Rebuild a site from :meth:`to_state` output (checkpoint restore).
+        """Rebuild an uplink site from :meth:`to_state` output (checkpoint
+        restore).
 
         The restored site keeps its previous **incarnation** — that is
         the point: a coordinator's uplink restored from a checkpoint must
         continue the very numbering its parent already tracks, so the
         parent sees neither a gap nor a duplicate-shadowing fresh life.
 
-        ``payloads`` maps each retained export's sequence to its dense
-        per-stream payloads, exactly the streams :meth:`to_state` listed.
-
-        The shipped baselines are rebuilt as copies of ``engine``'s
-        families.  That is exact only when the state was captured right
-        after an export and the engine restored from the same instant —
-        the network coordinator's invariant, since it cuts an uplink
-        export at the start of every checkpoint: the families then equal
-        the sum of every export so far (linearity), which is what each
-        baseline is.
+        ``engine`` is the restored :class:`Coordinator` the uplink
+        re-exports, and ``payloads`` maps each retained export's sequence
+        to its per-stream payloads, exactly the streams :meth:`to_state`
+        listed.  The coordinator starts with nothing pending: that is
+        exact when the state was captured right after an export and the
+        coordinator restored from the same instant — the network
+        coordinator's invariant, since it cuts an uplink export at the
+        start of every checkpoint.
         """
         site = cls(
             str(state["site_id"]),
@@ -418,11 +555,8 @@ class StreamSite:
             incarnation=str(state["incarnation"]),
             engine=engine,
         )
+        engine.take_pending()  # everything folded so far was cut
         site._sequence = int(state["sequence"])
-        site._shipped = {
-            name: family.copy()
-            for name, family in site._engine.families().items()
-        }
         payloads = payloads or {}
         for entry in state.get("retained", ()):
             sequence = int(entry["sequence"])
@@ -472,6 +606,10 @@ class Coordinator:
         self._current: dict[str, str] = {}
         self._collects_applied = 0
         self._duplicates_dropped = 0
+        # stream -> the sum of the deltas folded since the last uplink
+        # cut; None unless an uplink StreamSite re-exports this
+        # coordinator (record_pending), so a tree's root keeps nothing.
+        self._pending: dict[str, DeltaPayload] | None = None
 
     # -- collection --------------------------------------------------------
 
@@ -491,14 +629,17 @@ class Coordinator:
 
         A stream observed at several sites ends up with the sum of the
         sites' deltas — by linearity, exactly the sketch of the full
-        stream.  Payloads carrying a v2 wire encoding are decoded here,
-        at fold time; sparse ones scatter straight into an existing
-        synopsis without materialising a dense slab.  Decoding is
-        all-or-nothing: every payload is decoded and validated before
-        any synopsis is touched, so a malformed blob
-        (:class:`~repro.streams.net.codec.CodecError`, a bad slab size)
-        leaves the coordinator exactly as it was — the site can re-ship
-        the same export without any stream being folded twice.
+        stream.  Received payloads are decoded to cells here, at fold
+        time, and scatter straight into an existing synopsis without
+        materialising a dense slab.  Decoding is all-or-nothing: every
+        payload is decoded and validated before any synopsis is touched,
+        so a malformed blob
+        (:class:`~repro.streams.net.codec.CodecError`) leaves the
+        coordinator exactly as it was — the site can re-ship the same
+        export without any stream being folded twice.
+
+        A coordinator that backs an uplink (:meth:`record_pending`) also
+        adds each applied payload to its pending cut.
         """
         last = self.applied_sequence(export.site_id, export.incarnation)
         if export.sequence <= last:
@@ -526,17 +667,15 @@ class Coordinator:
         # a failed export half-applied with applied_sequence unadvanced,
         # and the re-shipped copy would then double-count the streams
         # folded before the failure.
+        num_cells = self.spec.counter_cells
         decoded = [
-            (
-                stream,
-                self._decode_payload(
-                    stream, payload, export.encodings.get(stream, "dense")
-                ),
-            )
+            (stream, payload, payload.cells(num_cells))
             for stream, payload in export.payloads.items()
         ]
-        for stream, incoming in decoded:
-            self._apply_decoded(stream, incoming, at=export.window_at)
+        for stream, payload, (indices, values) in decoded:
+            self._fold_cells(stream, indices, values, at=export.window_at)
+            if self._pending is not None:
+                self._add_pending(stream, payload, indices, values)
         site_history = self._applied.setdefault(export.site_id, {})
         site_history[export.incarnation] = export.sequence
         self._current[export.site_id] = export.incarnation
@@ -545,53 +684,94 @@ class Coordinator:
         self._collects_applied += export.sequence - first + 1
         return True
 
-    def _decode_payload(self, stream: str, payload: bytes, encoding: str):
-        """Materialise one wire payload; never touches coordinator state.
-
-        Returns the decoded delta :class:`SketchFamily`, or — for a
-        sparse encoding — the validated ``(indices, values)`` cell pair,
-        so :meth:`_apply_decoded` can scatter it straight into an
-        existing plain-map synopsis (the fast path: no dense
-        intermediate slab).  All payload validation happens here, which
-        is what lets :meth:`collect` decode a whole export before
-        mutating anything.
-        """
-        if encoding == "dense":
-            return SketchFamily.from_bytes(payload, self.spec)
-        # Deferred so importing this module never pulls the network
-        # stack in (repro.streams.net imports this module back).
-        from repro.streams.net import codec
-
-        cells = codec.decode_cells(payload, encoding, self.spec.counter_cells)
-        if cells is None:  # dense-based encoding (e.g. dense+zlib)
-            dense = codec.decode_dense(
-                payload, encoding, self.spec.counter_cells
-            )
-            return SketchFamily.from_bytes(dense, self.spec)
-        return cells
-
-    def _apply_decoded(
-        self, stream: str, incoming, at: float | None = None
+    def _fold_cells(
+        self,
+        stream: str,
+        indices: np.ndarray,
+        values: np.ndarray,
+        at: float | None = None,
     ) -> None:
-        """Fold one :meth:`_decode_payload` result into ``stream``.
+        """Fold one stream's delta cells.
 
         ``at`` is the export's window watermark; a windowed fold engine
         lands the delta in the ring bucket covering it (all-time
         synopses are updated either way).  Unwindowed fold targets — the
         plain family map included — ignore it.
         """
-        if not isinstance(incoming, SketchFamily):
-            indices, values = incoming
-            if self._engine is None and stream in self._families:
-                self._families[stream].add_cells(indices, values)
-                return
-            incoming = SketchFamily.from_cells(indices, values, self.spec)
+        if self._engine is None and stream in self._families:
+            self._families[stream].add_cells(indices, values)
+            return
+        incoming = SketchFamily.from_cells(indices, values, self.spec)
         if self._engine is not None:
             self._engine.merge_delta(stream, incoming, at=at)
-        elif stream in self._families:
-            self._families[stream].merge_in_place(incoming)
         else:
             self._families[stream] = incoming
+
+    def _add_pending(
+        self,
+        stream: str,
+        payload: DeltaPayload,
+        indices: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Add one applied payload to the pending cut.
+
+        The first delta of a stream since the cut is kept as it came,
+        blob included, so a lone delta is forwarded byte for byte.  A
+        dense-based blob is dropped (the cut re-encodes the cells, which
+        is never larger), and every further delta is summed in as cells.
+        """
+        if not indices.size:
+            return
+        num_cells = self.spec.counter_cells
+        held = self._pending.get(stream)
+        if held is None:
+            if payload.encoding is not None and payload.encoding.startswith(
+                "dense"
+            ):
+                payload = DeltaPayload.from_cells(indices, values, num_cells)
+            self._pending[stream] = payload
+            return
+        summed = sum_cells([held.cells(num_cells), (indices, values)])
+        if summed[0].size:
+            self._pending[stream] = DeltaPayload.from_cells(*summed, num_cells)
+        else:
+            del self._pending[stream]
+
+    def record_pending(self) -> None:
+        """Keep the deltas folded from now on for :meth:`take_pending`.
+
+        Called by the uplink :class:`StreamSite` a coordinator backs;
+        only such a coordinator keeps them, so a tree's root holds no
+        pending deltas however much traffic it folds.  Whatever the
+        coordinator already holds counts as pending, so the uplink's
+        first cut ships the whole state.
+        """
+        if self._pending is not None:
+            return
+        num_cells = self.spec.counter_cells
+        self._pending = {}
+        for name, family in self.families().items():
+            indices, values = family.nonzero_cells()
+            if indices.size:
+                self._pending[name] = DeltaPayload.from_cells(
+                    indices, values, num_cells
+                )
+
+    def take_pending(self) -> dict[str, DeltaPayload]:
+        """The per-stream sum of the deltas folded since the last take.
+
+        The uplink cut of a mid-tree coordinator: by linearity the sum
+        is exactly what the merged synopses moved by, so a parent that
+        folds every cut holds this coordinator's state.  A stream that
+        one delta touched comes back as that delta's payload, in the
+        blob it arrived in.  Empty when :meth:`record_pending` was never
+        called.
+        """
+        if self._pending is None:
+            return {}
+        pending, self._pending = self._pending, {}
+        return pending
 
     def collect_from(self, site: StreamSite) -> None:
         """Convenience: export from a site object, collect, acknowledge."""
@@ -686,13 +866,7 @@ class Coordinator:
         return self._engine.window_clock
 
     def families(self) -> dict[str, SketchFamily]:
-        """``stream -> merged synopsis`` (live objects, not copies).
-
-        The delta-export surface: an uplink
-        :class:`StreamSite` backed by this coordinator diffs these
-        families to re-export the *aggregated* state up a federation
-        tree.
-        """
+        """``stream -> merged synopsis`` (live objects, not copies)."""
         if self._engine is not None:
             return self._engine.families()
         return dict(self._families)

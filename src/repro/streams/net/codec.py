@@ -1,12 +1,15 @@
 """Wire-format v2 payload codec: sparse counter deltas, varint-packed.
 
-A delta export's counter payload is the serialised diff of a
+A delta export's counter payload is the diff of a
 :class:`~repro.core.family.SketchFamily` since the site's previous
 export.  Between exports only the counters touched by the exported
-window's elements change, so the diff slab is *mostly zeros* — yet the
-v1 wire format ships the whole dense ``int64`` slab (~4 MiB per stream
-at ``r=512, s=16``) no matter how small the touch set was.  This module
-is the fix: a compact encoding of exactly the non-zero cells.
+window's elements change, so the diff is *mostly zeros* — yet the v1
+wire format ships the whole dense ``int64`` slab (~4 MiB per stream at
+``r=512, s=16``) no matter how small the touch set was.  This module is
+the fix: a compact encoding of exactly the non-zero cells, which is
+also the form every delta takes in memory, from the site's export to
+the root's fold (``(indices, values)``, see
+:class:`~repro.streams.distributed.DeltaPayload`).
 
 Encodings
 ---------
@@ -30,12 +33,13 @@ Encodings
     expected slab size), so a hostile peer cannot zip-bomb a
     coordinator.
 
-:func:`encode_delta` picks *per payload by measured size*: it encodes
-the sparse form when allowed, keeps whichever base form is smaller, and
-keeps the zlib layer only when it actually shrinks the winner.  Every
-choice round-trips byte-exactly back to the dense slab
-(:func:`decode_dense`), so folding a decoded delta is bit-identical to
-folding the v1 payload.
+:func:`encode_delta` takes a delta's cells and picks *per payload by
+measured size*: it encodes the sparse form when allowed, keeps whichever
+base form is smaller (the dense size is known without building the
+slab), and keeps the zlib layer only when it actually shrinks the
+winner.  Every choice round-trips byte-exactly back to the dense slab
+(:func:`decode_dense`) and to the cells (:func:`decode_cells`), so
+folding a decoded delta is bit-identical to folding the v1 payload.
 
 Which encodings a connection may use is *negotiated* in the
 hello/welcome handshake (see :mod:`repro.streams.net.protocol`): the
@@ -67,8 +71,8 @@ __all__ = [
     "decode_cells",
     "encode_sparse_cells",
     "decode_sparse_cells",
-    "encode_sparse_slabs",
-    "decode_sparse_slabs",
+    "encode_cell_sets",
+    "decode_cell_sets",
 ]
 
 #: Every encoding this build can decode (the superset any negotiation
@@ -293,87 +297,103 @@ def _decode_cells_numpy(
 # -- payload-level encode/decode ----------------------------------------------
 
 
-def _sparse_body_from_dense(payload) -> bytes:
-    """The sparse body of one dense slab: one compiled pass when the
+def _sparse_body(indices: np.ndarray, values: np.ndarray) -> bytes:
+    """The sparse body of one delta's cells: one compiled pass when the
     kernel loaded, :func:`encode_sparse_cells` (its oracle) otherwise."""
-    counters = np.frombuffer(payload, dtype="<i8")
     lib = _kernel.LIB
     if lib is None:
-        indices = np.flatnonzero(counters)
-        return encode_sparse_cells(indices, counters[indices])
-    nnz = int(np.count_nonzero(counters))
+        return encode_sparse_cells(indices, values)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    nnz = int(indices.size)
     out = np.empty(_COUNT.size + 20 * nnz, dtype=np.uint8)
     _COUNT.pack_into(out, 0, nnz)
     size = lib.sparse_body(
-        counters.ctypes.data, counters.size, nnz, out.ctypes.data + _COUNT.size
+        indices.ctypes.data, values.ctypes.data, nnz, out.ctypes.data + _COUNT.size
     )
     return out[: _COUNT.size + size].tobytes()
 
 
-def encode_sparse_slabs(payloads: Iterable) -> bytes:
-    """Pack several dense counter slabs of one size into one sparse body.
+def _dense_slab(indices: np.ndarray, values: np.ndarray, num_cells: int) -> bytes:
+    """The v1 payload of one delta: its cells scattered into a zero slab."""
+    counters = np.zeros(num_cells, dtype="<i8")
+    counters[indices] = values
+    return counters.tobytes()
 
-    Slab ``k``'s cell ``i`` is stored at flat index ``k * num_cells + i``
-    (``num_cells`` from the slab length), so one strictly increasing
-    index run covers them all — one file per export however many
-    streams it carries.
+
+def encode_cell_sets(cell_sets: Iterable, num_cells: int) -> bytes:
+    """Pack the cells of several deltas over one slab into one sparse body.
+
+    Delta ``k``'s cell ``i`` is stored at flat index ``k * num_cells +
+    i``, so one strictly increasing index run covers them all — one
+    file per retained export however many streams it carries.
     """
     indices, values = [], []
-    offset = 0
-    for payload in payloads:
-        counters = np.frombuffer(payload, dtype="<i8")
-        nonzero = np.flatnonzero(counters)
-        indices.append(nonzero + offset)
-        values.append(counters[nonzero])
-        offset += counters.size
+    for slot, (cell_indices, cell_values) in enumerate(cell_sets):
+        indices.append(np.asarray(cell_indices, dtype=np.int64) + slot * num_cells)
+        values.append(np.asarray(cell_values, dtype=np.int64))
     if not indices:
-        return encode_sparse_cells(np.zeros(0), np.zeros(0))
-    return encode_sparse_cells(np.concatenate(indices), np.concatenate(values))
+        return _sparse_body(np.zeros(0), np.zeros(0))
+    return _sparse_body(np.concatenate(indices), np.concatenate(values))
 
 
-def decode_sparse_slabs(payload, count: int, num_cells: int) -> list[bytes]:
-    """Inverse of :func:`encode_sparse_slabs`: ``count`` dense slabs of
-    ``num_cells`` cells each, validated as strictly as
+def decode_cell_sets(
+    payload, count: int, num_cells: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Inverse of :func:`encode_cell_sets`: the cells of ``count`` deltas
+    over a slab of ``num_cells``, validated as strictly as
     :func:`decode_sparse_cells`."""
     indices, values = decode_sparse_cells(payload, count * num_cells)
     bounds = np.searchsorted(indices, np.arange(count + 1) * num_cells)
-    slabs = []
-    for slot in range(count):
-        low, high = bounds[slot], bounds[slot + 1]
-        counters = np.zeros(num_cells, dtype="<i8")
-        counters[indices[low:high] - slot * num_cells] = values[low:high]
-        slabs.append(counters.tobytes())
-    return slabs
+    return [
+        (
+            indices[bounds[slot] : bounds[slot + 1]] - slot * num_cells,
+            values[bounds[slot] : bounds[slot + 1]].copy(),
+        )
+        for slot in range(count)
+    ]
 
 
 def encode_delta(
-    payload, allowed: Sequence[str], *, compress_level: int = 6
+    indices: np.ndarray,
+    values: np.ndarray,
+    num_cells: int,
+    allowed: Sequence[str],
+    *,
+    compress_level: int = 6,
 ) -> tuple[str, bytes]:
-    """Encode one dense counter payload; returns ``(encoding, blob)``.
+    """Encode one delta's non-zero cells; returns ``(encoding, blob)``.
 
     Picks by *measured* size among ``allowed``: the sparse body is built
     when any sparse variant is allowed and kept when smaller than the
-    dense slab; the zlib layer is applied to the winning base form and
-    kept only when it shrinks it further.  ``dense`` is always a valid
-    fallback, so the result is never larger than the v1 payload by more
-    than nothing — worst case it *is* the v1 payload.
+    dense slab (``8 * num_cells`` bytes, known without building it); the
+    zlib layer is applied to the winning base form and kept only when it
+    shrinks it further.  ``dense`` is always a valid fallback, so the
+    result is never larger than the v1 payload — worst case it *is* the
+    v1 payload, and only then is the slab built.
     """
-    dense = payload if isinstance(payload, bytes) else bytes(payload)
+    dense_size = 8 * num_cells
     allowed_set = set(allowed) | {"dense"}
-    bases = [("dense", dense)]
+    name, body = "dense", None
     if {"sparse", "sparse+zlib"} & allowed_set:
-        bases.append(("sparse", _sparse_body_from_dense(dense)))
-    # The smaller base form wins (dense wins ties); zlib is tried on the
-    # winner only, so one compress call bounds the CPU cost per payload.
-    name, body = min(bases, key=lambda base: len(base[1]))
+        sparse = _sparse_body(indices, values)
+        # The smaller base form wins (dense wins ties).
+        if len(sparse) < dense_size:
+            name, body = "sparse", sparse
+    if body is None:
+        body = _dense_slab(indices, values, num_cells)
+    # zlib is tried on the winner only, so one compress call bounds the
+    # CPU cost per payload.
     best = (name, body) if name in allowed_set else None
     if f"{name}+zlib" in allowed_set:
-        zipped = zlib.compress(bytes(body), compress_level)
+        zipped = zlib.compress(body, compress_level)
         if best is None or len(zipped) < len(best[1]):
             best = (f"{name}+zlib", zipped)
-    if best is None or len(best[1]) >= len(dense):
-        return "dense", dense
-    return best[0], bytes(best[1])
+    if best is None or len(best[1]) >= dense_size:
+        if name != "dense":
+            body = _dense_slab(indices, values, num_cells)
+        return "dense", body
+    return best
 
 
 def _unwrap(blob, encoding: str, max_body: int) -> tuple[str, bytes]:

@@ -38,8 +38,11 @@ Two extensions make servers composable into **federation trees**
   enabled, uplink exports are cut *only inside* :meth:`checkpoint`, so
   every sequence the parent can ever see is persisted before it goes on
   the wire; a leaf restored from its checkpoint therefore re-ships
-  bit-identical payloads instead of diverging, and a mid-tree crash
-  loses nothing and double-applies nothing.  Each retained uplink
+  bit-identical deltas instead of diverging, and a mid-tree crash
+  loses nothing and double-applies nothing.  An uplink export is the
+  sum of the child deltas folded since the previous cut (a lone one
+  forwarded in the blob it arrived in), so the uplink keeps no
+  baseline copy of the state.  Each retained uplink
   export is written once, as one sparse-cell file under ``uplink/`` in
   the checkpoint directory, and deleted by the first checkpoint after
   the parent durably acknowledged it.
@@ -62,7 +65,12 @@ from repro.streams.checkpoint import (
     restore_engine,
     write_checkpoint_files,
 )
-from repro.streams.distributed import Coordinator, DeltaExport, StreamSite
+from repro.streams.distributed import (
+    Coordinator,
+    DeltaExport,
+    DeltaPayload,
+    StreamSite,
+)
 from repro.streams.net import codec, protocol
 from repro.streams.net.site import SiteClient, SiteConnectionError
 from repro.streams.stats import TransportStats, rollup_transport_stats
@@ -152,7 +160,7 @@ def _restore_uplink_site(directory, state, coordinator) -> StreamSite:
     """The uplink site of a checkpoint's ``extra["uplink"]`` state, its
     retained exports read back from their ``uplink/`` files."""
     _check_uplink_state(state)
-    spec = coordinator.spec
+    num_cells = coordinator.spec.counter_cells
     payloads = {}
     for entry in state.get("retained", ()):
         sequence = int(entry["sequence"])
@@ -163,16 +171,17 @@ def _restore_uplink_site(directory, state, coordinator) -> StreamSite:
             _retained_file(str(state["incarnation"]), sequence),
         )
         try:
-            slabs = codec.decode_sparse_slabs(
-                blob, len(streams), spec.counter_cells
-            )
+            cell_sets = codec.decode_cell_sets(blob, len(streams), num_cells)
         except codec.CodecError as exc:
             raise CheckpointError(
                 f"retained uplink export {sequence} is corrupt: {exc}"
             ) from exc
-        payloads[sequence] = dict(zip(streams, slabs))
+        payloads[sequence] = {
+            name: DeltaPayload.from_cells(indices, values, num_cells)
+            for name, (indices, values) in zip(streams, cell_sets)
+        }
     return StreamSite.from_state(
-        state, spec, engine=coordinator, payloads=payloads
+        state, coordinator.spec, engine=coordinator, payloads=payloads
     )
 
 
@@ -360,9 +369,9 @@ class CoordinatorServer:
         same uplink incarnation, sequence counter, and retained exports
         (read back from their ``uplink/`` files), so the parent
         coordinator sees an unbroken peer: retained exports re-ship
-        bit-identically and nothing is lost or double-applied.  The
-        uplink's shipped baselines are the restored families themselves
-        (see :meth:`checkpoint`).  Pass the same ``parent_port`` (and
+        bit-identical cells and nothing is lost or double-applied.  The
+        restored coordinator starts with no pending deltas (see
+        :meth:`checkpoint`).  Pass the same ``parent_port`` (and
         friends) as the original run.  Uplink state written by the
         format-2 layout, and an ill-typed ``extra["site_sequences"]`` or
         ``extra["uplink"]``, raise
@@ -543,10 +552,9 @@ class CoordinatorServer:
         is the tree-consistency invariant: the parent can only ever
         receive exports that this checkpoint (or an earlier one) can
         reproduce bit-identically, so a restored leaf never diverges
-        from what its parent already folded.  It also makes the uplink's
-        shipped baselines redundant: right after the cut they equal the
-        checkpointed families, so they are rebuilt from those on restore
-        instead of being stored.
+        from what its parent already folded.  It also leaves nothing
+        pending at the checkpoint, so a restore needs no record of what
+        the uplink had already cut.
 
         Retained exports not yet on disk are written to ``uplink/``
         before the manifest is published; files of exports the parent
@@ -563,12 +571,17 @@ class CoordinatorServer:
             self._uncut_window_at = None
             extra[_UPLINK_KEY] = uplink_site.to_state()
             unwritten = {}
+            num_cells = self.coordinator.spec.counter_cells
             for export in uplink_site.exports_after(0):
                 name = _retained_file(uplink_site.incarnation, export.sequence)
                 retained.add(name)
                 if name not in self._uplink_files:
-                    unwritten[name] = codec.encode_sparse_slabs(
-                        export.payloads.values()
+                    unwritten[name] = codec.encode_cell_sets(
+                        (
+                            payload.cells(num_cells)
+                            for payload in export.payloads.values()
+                        ),
+                        num_cells,
                     )
             write_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, unwritten)
             self._uplink_files.update(unwritten)
@@ -823,7 +836,8 @@ class CoordinatorServer:
                     f"that said hello as {site_id!r} ({incarnation!r})"
                 )
             unexpected = sorted(
-                set(export.encodings.values()) - set(session_encodings)
+                {payload.encoding for payload in export.payloads.values()}
+                - set(session_encodings)
             )
             if unexpected:
                 raise protocol.ProtocolError(

@@ -95,7 +95,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ReproError
-from repro.streams.distributed import DeltaExport
+from repro.streams.distributed import DeltaExport, DeltaPayload
 from repro.streams.net import codec
 
 __all__ = [
@@ -168,8 +168,8 @@ def decode_message(payload: bytes) -> tuple[dict, list[memoryview]]:
     multi-MiB counter slabs, and slicing them out as ``bytes`` used to
     double the peak allocation per frame.  Memoryviews compare equal to
     bytes and feed ``np.frombuffer``/``zlib`` directly; call ``bytes()``
-    only where a blob must outlive the frame (retention), which the
-    fold path never needs.
+    only where a blob must outlive the frame, as
+    :func:`export_from_message` does.
     """
     if len(payload) < _LENGTH.size:
         raise ProtocolError("frame too short for a header length")
@@ -315,12 +315,16 @@ def delta_message(
 ) -> tuple[dict, list[bytes]]:
     """Header and blobs for one delta export (blobs in ``streams`` order).
 
-    Each payload is encoded independently through
-    :func:`~repro.streams.net.codec.encode_delta`, choosing the smallest
-    allowed encoding per blob; the per-blob choices ride in the header's
-    ``encodings`` list.  With the default dense-only allowance the
-    header is field-for-field the v1 message.  A batched export
-    (``first_sequence < sequence``) adds ``first_sequence``.
+    Each payload ships its kept blob when the session allows that blob's
+    encoding — a forwarded child delta goes out byte for byte, a
+    retransmit is never re-encoded — and is otherwise encoded once
+    through :func:`~repro.streams.net.codec.encode_delta`, choosing the
+    smallest allowed encoding, and kept
+    (:meth:`~repro.streams.distributed.DeltaPayload.wire`).  The per-blob
+    choices ride in the header's ``encodings`` list.  With the default
+    dense-only allowance the header is field-for-field the v1 message.
+    A batched export (``first_sequence < sequence``) adds
+    ``first_sequence``.
     """
     streams = sorted(export.payloads)
     header = {
@@ -337,10 +341,8 @@ def delta_message(
     blobs = []
     encodings = []
     for name in streams:
-        encoding, blob = codec.encode_delta(
-            export.payloads[name],
-            allowed_encodings,
-            compress_level=compress_level,
+        encoding, blob = export.payloads[name].wire(
+            allowed_encodings, compress_level=compress_level
         )
         encodings.append(encoding)
         blobs.append(blob)
@@ -360,11 +362,11 @@ def error_message(message: str) -> dict:
 def export_from_message(header: dict, blobs: Sequence[bytes]) -> DeltaExport:
     """Rebuild a :class:`DeltaExport` from a decoded ``delta`` message.
 
-    The export keeps the blobs exactly as received (memoryviews from
-    :func:`decode_message` stay zero-copy) together with the per-stream
-    wire encodings; decoding to counters happens at fold time in
-    :meth:`~repro.streams.distributed.Coordinator.collect`, where the
-    sparse fast path can skip the dense slab entirely.
+    Each payload keeps its blob as received, with its wire encoding,
+    copied out of the frame buffer so that a payload a coordinator holds
+    for its uplink cut does not pin the whole frame.  Decoding to cells
+    happens at fold time in
+    :meth:`~repro.streams.distributed.Coordinator.collect`.
     """
     if header.get("type") != "delta":
         raise ProtocolError(f"expected a delta message, got {header.get('type')!r}")
@@ -400,28 +402,24 @@ def export_from_message(header: dict, blobs: Sequence[bytes]) -> DeltaExport:
             raise ProtocolError("window_at must not be NaN")
     wire_encodings = header.get("encodings", None)
     if wire_encodings is None:
-        encodings = {}
-    else:
-        if (
-            not isinstance(wire_encodings, list)
-            or len(wire_encodings) != len(streams)
-            or any(e not in codec.WIRE_ENCODINGS for e in wire_encodings)
-        ):
-            raise ProtocolError(
-                "delta encodings must name a known encoding per stream"
-            )
-        encodings = {
-            name: encoding
-            for name, encoding in zip(streams, wire_encodings)
-            if encoding != "dense"
-        }
+        wire_encodings = ["dense"] * len(streams)
+    elif (
+        not isinstance(wire_encodings, list)
+        or len(wire_encodings) != len(streams)
+        or any(e not in codec.WIRE_ENCODINGS for e in wire_encodings)
+    ):
+        raise ProtocolError(
+            "delta encodings must name a known encoding per stream"
+        )
     return DeltaExport(
         site_id=site_id,
         sequence=sequence,
-        payloads=dict(zip(streams, blobs)),
+        payloads={
+            name: DeltaPayload.from_wire(encoding, bytes(blob))
+            for name, encoding, blob in zip(streams, wire_encodings, blobs)
+        },
         incarnation=incarnation,
         first_sequence=first_sequence,
-        encodings=encodings,
         window_at=window_at,
     )
 

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.family import SketchFamily, SketchSpec, check_same_coins
+from repro.core import _kernel
+from repro.core.family import (
+    SketchFamily,
+    SketchSpec,
+    _sum_cells_numpy,
+    check_same_coins,
+    sum_cells,
+)
 from repro.core.sketch import SketchShape
 from repro.errors import IncompatibleSketchesError
 
@@ -221,8 +230,8 @@ class TestCheckSameCoins:
 
 
 class TestDeltaPayload:
-    """``delta_payload`` is diff_from + is_zero + to_bytes + a fresh
-    baseline copy, in one pass, on the kernel and on the numpy oracle."""
+    """``delta_payload`` is diff_from + nonzero_cells + a fresh baseline
+    copy, in one pass, on the kernel and on the numpy oracle."""
 
     @pytest.mark.parametrize("path", ["kernel", "oracle"])
     def test_matches_diff_and_advances_baseline(self, path, monkeypatch):
@@ -240,9 +249,99 @@ class TestDeltaPayload:
             rng.integers(-3, 4, size=50),
         )
         family.counters[0, 0, 0, 0] = np.iinfo(np.int64).min  # wraps
-        expected = family.diff_from(baseline).to_bytes()
-        assert family.delta_payload(baseline) == expected
+        expected = family.diff_from(baseline).nonzero_cells()
+        indices, values = family.delta_payload(baseline)
+        assert indices.dtype == values.dtype == np.int64
+        assert indices.tolist() == expected[0].tolist()
+        assert values.tolist() == expected[1].tolist()
         assert np.array_equal(baseline.counters, family.counters)
         assert family.delta_payload(baseline) is None
         with pytest.raises(IncompatibleSketchesError):
             family.delta_payload(SketchSpec(num_sketches=8, seed=4).build())
+
+    @pytest.mark.skipif(_kernel.LIB is None, reason="compiled kernel not loaded")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 400),
+        st.sampled_from([1, 3, 2**62, -(2**63)]),
+    )
+    def test_kernel_cells_byte_identical_to_oracle(self, seed, touched, scale):
+        """The compiled diff_advance writes the very cells (dtype, order,
+        wrapped values) the numpy oracle computes, and advances the
+        baseline the same way."""
+        spec = SketchSpec(num_sketches=4, seed=9)
+        rng = np.random.default_rng(seed)
+        current = rng.integers(-3, 4, size=spec.counter_cells) * scale
+        previous = current.copy()
+        where = rng.choice(spec.counter_cells, size=touched, replace=False)
+        previous[where] += rng.integers(-(2**62), 2**62, size=touched)
+        outcomes = []
+        for lib in (_kernel.LIB, None):
+            saved, _kernel.LIB = _kernel.LIB, lib
+            try:
+                shape = (spec.num_sketches,) + spec.shape.counter_shape
+                family = SketchFamily(spec, current.reshape(shape).copy())
+                baseline = SketchFamily(spec, previous.reshape(shape).copy())
+                cells = family.delta_payload(baseline)
+            finally:
+                _kernel.LIB = saved
+            assert np.array_equal(baseline.counters, family.counters)
+            outcomes.append(
+                None if cells is None
+                else (cells[0].astype("<i8").tobytes(), cells[1].astype("<i8").tobytes())
+            )
+        assert outcomes[0] == outcomes[1]
+
+
+def _cell_sets(draw_sets):
+    """Hypothesis strategy: lists of sparse deltas over a 512-cell slab."""
+    cells = st.dictionaries(
+        st.integers(0, 511),
+        st.one_of(
+            st.integers(-3, 3).filter(bool),
+            st.sampled_from([2**63 - 1, -(2**63), 1 - 2**63]),
+        ),
+        max_size=60,
+    )
+    return st.lists(cells, max_size=draw_sets)
+
+
+def _as_cells(mapping):
+    indices = np.array(sorted(mapping), dtype=np.int64)
+    values = np.array([mapping[i] for i in sorted(mapping)], dtype=np.int64)
+    return indices, values
+
+
+class TestSumCells:
+    """``sum_cells`` is the entrywise sum of sparse deltas, as cells."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cell_sets(6))
+    def test_equals_the_dense_sum(self, mappings):
+        dense = np.zeros(512, dtype=np.int64)
+        for mapping in mappings:
+            for index, value in mapping.items():
+                dense[index] = np.int64(
+                    (int(dense[index]) + value + 2**63) % 2**64 - 2**63
+                )
+        indices, values = sum_cells([_as_cells(m) for m in mappings])
+        assert indices.tolist() == np.flatnonzero(dense).tolist()
+        assert values.tolist() == dense[indices].tolist()
+
+    @pytest.mark.skipif(_kernel.LIB is None, reason="compiled kernel not loaded")
+    @settings(max_examples=150, deadline=None)
+    @given(_cell_sets(6))
+    def test_kernel_byte_identical_to_oracle(self, mappings):
+        cell_sets = [_as_cells(m) for m in mappings]
+        kernel = sum_cells(cell_sets)
+        oracle = _sum_cells_numpy(cell_sets)
+        for got, want in zip(kernel, oracle):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+
+    def test_cancelling_deltas_leave_nothing(self):
+        indices, values = sum_cells(
+            [(np.array([2, 7]), np.array([5, -1])), (np.array([2, 7]), np.array([-5, 1]))]
+        )
+        assert indices.size == values.size == 0

@@ -35,6 +35,18 @@ def dense_with(nonzero: dict[int, int]) -> bytes:
     return slab.tobytes()
 
 
+def cells_of(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The non-zero cells of a dense slab."""
+    slab = np.frombuffer(payload, dtype="<i8")
+    indices = np.flatnonzero(slab)
+    return indices, slab[indices]
+
+
+def encode(payload: bytes, allowed, **options) -> tuple[str, bytes]:
+    """:func:`codec.encode_delta` of a dense slab's cells."""
+    return codec.encode_delta(*cells_of(payload), CELLS, allowed, **options)
+
+
 class TestNegotiation:
     def test_intersection_in_supported_order(self):
         picked = codec.negotiate_encodings(
@@ -75,7 +87,7 @@ class TestRoundTrip:
                 -(2**62), 2**62, size=nonzero, dtype=np.int64
             )
         payload = slab.tobytes()
-        encoding, blob = codec.encode_delta(payload, allowed)
+        encoding, blob = encode(payload, allowed)
         assert encoding in set(allowed) | {"dense"}
         assert codec.decode_dense(blob, encoding, CELLS) == payload
 
@@ -84,7 +96,7 @@ class TestRoundTrip:
             {0: -(2**63), 1: 2**63 - 1, 2: -1, CELLS - 1: 1}
         )
         for allowed in (("sparse",), ("sparse+zlib",)):
-            encoding, blob = codec.encode_delta(payload, allowed)
+            encoding, blob = encode(payload, allowed)
             assert codec.decode_dense(blob, encoding, CELLS) == payload
 
     def test_fuzz_random_sparsity(self):
@@ -97,23 +109,59 @@ class TestRoundTrip:
                 -(2**40), 2**40, size=nonzero, dtype=np.int64
             )
             payload = slab.tobytes()
-            encoding, blob = codec.encode_delta(
+            encoding, blob = encode(
                 payload, codec.PREFERRED_ENCODINGS
             )
             assert codec.decode_dense(blob, encoding, CELLS) == payload
 
     def test_decode_accepts_memoryview(self):
         payload = dense_with({7: 3})
-        encoding, blob = codec.encode_delta(payload, ("sparse",))
+        encoding, blob = encode(payload, ("sparse",))
         assert (
             codec.decode_dense(memoryview(blob), encoding, CELLS) == payload
         )
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, CELLS - 1),
+        st.one_of(
+            st.integers(-3, 3),
+            st.integers(-(2**63), 2**63 - 1),
+        ).filter(bool),
+        max_size=300,
+    ),
+    st.sampled_from(
+        [
+            codec.DENSE_ONLY,
+            ("sparse",),
+            ("dense+zlib",),
+            ("sparse+zlib",),
+            codec.PREFERRED_ENCODINGS,
+        ]
+    ),
+)
+def test_cells_blob_cells_round_trip(cells, allowed):
+    """Cells → blob → cells is the identity for every encoding a
+    session may allow, and the blob never outgrows the dense slab."""
+    indices = np.array(sorted(cells), dtype=np.int64)
+    values = np.array([cells[i] for i in sorted(cells)], dtype=np.int64)
+    encoding, blob = codec.encode_delta(indices, values, CELLS, allowed)
+    assert encoding in set(allowed) | {"dense"}
+    assert len(blob) <= 8 * CELLS
+    decoded = codec.decode_cells(blob, encoding, CELLS)
+    if decoded is None:  # dense-based: through the slab
+        slab = np.frombuffer(codec.decode_dense(blob, encoding, CELLS), "<i8")
+        decoded = np.flatnonzero(slab), slab[np.flatnonzero(slab)]
+    assert decoded[0].tolist() == indices.tolist()
+    assert decoded[1].tolist() == values.tolist()
+
+
 class TestSizeChoice:
     def test_sparse_chosen_for_sparse_payload(self):
         payload = dense_with({3: 1, 100: -2, CELLS - 1: 7})
-        encoding, blob = codec.encode_delta(
+        encoding, blob = encode(
             payload, codec.PREFERRED_ENCODINGS
         )
         assert encoding.startswith("sparse")
@@ -125,7 +173,7 @@ class TestSizeChoice:
         rng = np.random.default_rng(3)
         slab = rng.integers(-(2**62), 2**62, size=CELLS, dtype=np.int64)
         payload = slab.astype("<i8").tobytes()
-        encoding, blob = codec.encode_delta(
+        encoding, blob = encode(
             payload, codec.PREFERRED_ENCODINGS
         )
         assert len(blob) <= len(payload)
@@ -133,17 +181,17 @@ class TestSizeChoice:
 
     def test_disallowed_encodings_never_produced(self):
         payload = dense_with({3: 1})
-        encoding, _ = codec.encode_delta(payload, codec.DENSE_ONLY)
+        encoding, _ = encode(payload, codec.DENSE_ONLY)
         assert encoding == "dense"
-        encoding, _ = codec.encode_delta(payload, ("dense", "dense+zlib"))
+        encoding, _ = encode(payload, ("dense", "dense+zlib"))
         assert encoding in ("dense", "dense+zlib")
 
     def test_zlib_dropped_when_it_does_not_shrink(self):
         # A tiny sparse body barely compresses; whatever wins must never
         # exceed the un-zipped sparse form.
         payload = dense_with({0: 1})
-        _, sparse_blob = codec.encode_delta(payload, ("sparse",))
-        _, best_blob = codec.encode_delta(
+        _, sparse_blob = encode(payload, ("sparse",))
+        _, best_blob = encode(
             payload, ("sparse", "sparse+zlib")
         )
         assert len(best_blob) <= len(sparse_blob)
@@ -159,12 +207,12 @@ class TestMalformedPayloads:
             codec.decode_dense(b"\x00" * 16, "dense", CELLS)
 
     def test_truncated_sparse_rejected(self):
-        _, blob = codec.encode_delta(dense_with({5: 9, 6: 2}), ("sparse",))
+        _, blob = encode(dense_with({5: 9, 6: 2}), ("sparse",))
         with pytest.raises(codec.CodecError):
             codec.decode_dense(blob[:-1], "sparse", CELLS)
 
     def test_trailing_bytes_rejected(self):
-        _, blob = codec.encode_delta(dense_with({5: 9}), ("sparse",))
+        _, blob = encode(dense_with({5: 9}), ("sparse",))
         with pytest.raises(codec.CodecError):
             codec.decode_dense(blob + b"\x00", "sparse", CELLS)
 
@@ -253,18 +301,15 @@ class TestKernelMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(_SLABS)
     def test_sparse_body_byte_identical(self, cells):
-        dense = dense_with(cells)
-        kernel, oracle = on_both_paths(codec._sparse_body_from_dense, dense)
+        indices, values = cells_of(dense_with(cells))
+        kernel, oracle = on_both_paths(codec._sparse_body, indices, values)
         assert kernel == oracle
-        indices = np.asarray(sorted(cells), dtype=np.int64)
-        values = np.asarray([cells[i] for i in sorted(cells)], dtype=np.int64)
-        keep = values != 0
-        assert kernel == codec.encode_sparse_cells(indices[keep], values[keep])
+        assert kernel == codec.encode_sparse_cells(indices, values)
 
     @settings(max_examples=150, deadline=None)
     @given(_SLABS)
     def test_decode_identical(self, cells):
-        body = codec._sparse_body_from_dense(dense_with(cells))
+        body = codec._sparse_body(*cells_of(dense_with(cells)))
         kernel, oracle = on_both_paths(codec.decode_sparse_cells, body, CELLS)
         assert same_outcome(kernel, oracle)
         assert kernel[0].tolist() == sorted(i for i, v in cells.items() if v)
@@ -316,31 +361,49 @@ class TestKernelMatchesOracle:
 
 
 class TestSparseSlabs:
-    """Several slabs in one sparse body: the retained-export file format
-    of leaf checkpoints."""
+    """The cells of several deltas in one sparse body: the
+    retained-export file format of leaf checkpoints."""
+
+    @staticmethod
+    def assert_cells_equal(decoded, expected):
+        assert len(decoded) == len(expected)
+        for (indices, values), (want_indices, want_values) in zip(
+            decoded, expected
+        ):
+            assert indices.tolist() == list(want_indices)
+            assert values.tolist() == list(want_values)
 
     def test_round_trip_is_byte_exact(self):
-        slabs = [
-            dense_with({0: 1, CELLS - 1: -3}),
-            dense_with({}),
-            dense_with({5: 2**40, 6: -(2**40)}),
+        cell_sets = [
+            cells_of(dense_with({0: 1, CELLS - 1: -3})),
+            cells_of(dense_with({})),
+            cells_of(dense_with({5: 2**40, 6: -(2**40)})),
         ]
-        blob = codec.encode_sparse_slabs(slabs)
-        assert codec.decode_sparse_slabs(blob, len(slabs), CELLS) == slabs
+        blob = codec.encode_cell_sets(cell_sets, CELLS)
+        self.assert_cells_equal(
+            codec.decode_cell_sets(blob, len(cell_sets), CELLS), cell_sets
+        )
+        # The file layout: delta k's cell i at flat index k * CELLS + i.
+        assert blob == codec.encode_sparse_cells(
+            np.array([0, CELLS - 1, 2 * CELLS + 5, 2 * CELLS + 6]),
+            np.array([1, -3, 2**40, -(2**40)]),
+        )
 
     def test_no_slabs(self):
-        blob = codec.encode_sparse_slabs([])
-        assert codec.decode_sparse_slabs(blob, 0, CELLS) == []
+        blob = codec.encode_cell_sets([], CELLS)
+        assert codec.decode_cell_sets(blob, 0, CELLS) == []
 
     def test_cells_past_the_declared_slabs_rejected(self):
-        blob = codec.encode_sparse_slabs([dense_with({}), dense_with({3: 1})])
+        blob = codec.encode_cell_sets(
+            [cells_of(dense_with({})), cells_of(dense_with({3: 1}))], CELLS
+        )
         with pytest.raises(codec.CodecError):
-            codec.decode_sparse_slabs(blob, 1, CELLS)
+            codec.decode_cell_sets(blob, 1, CELLS)
 
     def test_truncated_body_rejected(self):
-        blob = codec.encode_sparse_slabs([dense_with({1: 7, 9: -1})])
+        blob = codec.encode_cell_sets([cells_of(dense_with({1: 7, 9: -1}))], CELLS)
         with pytest.raises(codec.CodecError):
-            codec.decode_sparse_slabs(blob[:-1], 1, CELLS)
+            codec.decode_cell_sets(blob[:-1], 1, CELLS)
 
 
 class TestFamilyCellHelpers:

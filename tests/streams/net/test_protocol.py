@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
-from repro.streams.distributed import DeltaExport
+from repro.streams.distributed import DeltaExport, DeltaPayload
 from repro.streams.net import protocol
 
 
@@ -71,13 +72,25 @@ class TestHelloVersion:
 
 class TestDeltaMessages:
     def test_export_round_trip(self):
-        export = DeltaExport("site-9", 3, {"B": b"bb", "A": b"aaaa"}, "life-1")
+        cells = {
+            "A": (np.array([0, 3]), np.array([5, -2])),
+            "B": (np.array([7]), np.array([1])),
+        }
+        payloads = {
+            name: DeltaPayload.from_cells(indices, values, 8)
+            for name, (indices, values) in cells.items()
+        }
+        export = DeltaExport("site-9", 3, payloads, "life-1")
         header, blobs = protocol.delta_message(export)
         rebuilt = protocol.export_from_message(header, blobs)
         assert rebuilt.site_id == "site-9"
         assert rebuilt.sequence == 3
         assert rebuilt.incarnation == "life-1"
-        assert dict(rebuilt.payloads) == {"A": b"aaaa", "B": b"bb"}
+        assert sorted(rebuilt.payloads) == ["A", "B"]
+        for name, (indices, values) in cells.items():
+            got_indices, got_values = rebuilt.payloads[name].cells(8)
+            assert got_indices.tolist() == indices.tolist()
+            assert got_values.tolist() == values.tolist()
 
     def test_empty_export_round_trip(self):
         export = DeltaExport("s", 1, {}, "life-1")

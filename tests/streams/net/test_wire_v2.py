@@ -14,6 +14,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
@@ -21,6 +23,7 @@ from repro.errors import DeltaSequenceError
 from repro.streams.distributed import (
     Coordinator,
     DeltaExport,
+    DeltaPayload,
     StreamSite,
     coalesce_exports,
 )
@@ -70,6 +73,16 @@ def populated_site(site_id: str, rounds: int = 4) -> StreamSite:
     return site
 
 
+def assert_same_cells(payloads, expected) -> None:
+    """Two exports' payloads decode to the same cells, stream by stream."""
+    assert sorted(payloads) == sorted(expected)
+    for name, payload in payloads.items():
+        indices, values = payload.cells(SPEC.counter_cells)
+        want_indices, want_values = expected[name].cells(SPEC.counter_cells)
+        assert indices.tobytes() == want_indices.tobytes(), name
+        assert values.tobytes() == want_values.tobytes(), name
+
+
 def flat_reference(*sites_updates) -> StreamEngine:
     engine = StreamEngine(SPEC)
     for updates in sites_updates:
@@ -111,6 +124,46 @@ class TestCoalesceExports:
         batch = coalesce_exports(site.exports_after(0), SPEC)
         # A's insert+delete cancel entrywise; only B's delta survives.
         assert set(batch.payloads) == {"B"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from("ABC"),
+                st.dictionaries(
+                    st.integers(0, SPEC.counter_cells - 1),
+                    st.sampled_from([1, -1, 2, -2, 2**63 - 1, -(2**63)]),
+                    max_size=20,
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_sum_equals_the_dense_entrywise_sum(self, deltas):
+        """Over random sparse deltas: the batch's cells are the dense
+        entrywise sum of every export's, and streams that sum to zero
+        (or that no export touched) are dropped."""
+        num_cells = SPEC.counter_cells
+        exports, dense = [], {}
+        for sequence, streams in enumerate(deltas, start=1):
+            payloads = {}
+            for name, cells in streams.items():
+                indices = np.array(sorted(cells), dtype=np.int64)
+                values = np.array([cells[i] for i in sorted(cells)], dtype=np.int64)
+                if not indices.size:
+                    continue
+                payloads[name] = DeltaPayload.from_cells(indices, values, num_cells)
+                total = dense.setdefault(name, np.zeros(num_cells, dtype=np.int64))
+                total[indices] += values
+            exports.append(DeltaExport("s", sequence, payloads, "life"))
+        batch = coalesce_exports(exports, SPEC)
+        expected = {name: t for name, t in dense.items() if t.any()}
+        assert sorted(batch.payloads) == sorted(expected)
+        for name, payload in batch.payloads.items():
+            indices, values = payload.cells(num_cells)
+            assert indices.tolist() == np.flatnonzero(expected[name]).tolist()
+            assert values.tolist() == expected[name][indices].tolist()
 
     def test_single_export_passes_through(self):
         site = populated_site("s", rounds=1)
@@ -172,15 +225,22 @@ class TestAtomicFold:
         site.observe_many(insertions("B", range(50, 60)))
         export = site.export()
         encoded = {
-            name: codec.encode_delta(payload, ("sparse",))
+            name: codec.encode_delta(
+                *payload.cells(SPEC.counter_cells),
+                SPEC.counter_cells,
+                ("sparse",),
+            )
             for name, payload in export.payloads.items()
         }
         assert set(encoded) == {"A", "B"}
-        good = {name: blob for name, (_, blob) in encoded.items()}
-        encodings = {name: enc for name, (enc, _) in encoded.items()}
+        good = {
+            name: DeltaPayload.from_wire(encoding, blob)
+            for name, (encoding, blob) in encoded.items()
+        }
         # A decodes fine and comes first; B's blob is truncated.
         broken = dict(good)
-        broken["B"] = broken["B"][:-1]
+        encoding, blob = encoded["B"]
+        broken["B"] = DeltaPayload.from_wire(encoding, blob[:-1])
         with pytest.raises(codec.CodecError):
             coordinator.collect(
                 DeltaExport(
@@ -188,7 +248,6 @@ class TestAtomicFold:
                     export.sequence,
                     broken,
                     export.incarnation,
-                    encodings=encodings,
                 )
             )
         assert coordinator.applied_sequence("s", site.incarnation) == 1
@@ -203,7 +262,6 @@ class TestAtomicFold:
                 export.sequence,
                 good,
                 export.incarnation,
-                encodings=encodings,
             )
         )
         reference = flat_reference(
@@ -578,20 +636,23 @@ class TestZeroCopyBlobs:
         # All views window the same frame buffer — no per-blob copies.
         assert all(view.obj is frame for view in blobs)
 
-    def test_views_feed_the_fold_path(self):
+    def test_export_blobs_are_copied_out_of_the_frame(self):
+        """A sparse payload keeps its own copy of the received blob (a
+        coordinator may hold it for its uplink cut, and must not pin the
+        frame), byte-equal to what was sent, and folds bit-identically."""
         site = StreamSite("s", SPEC)
         site.observe_many(insertions("A", range(25)))
         header, wire = protocol.delta_message(
             site.export(), codec.PREFERRED_ENCODINGS
         )
-        decoded_header, views = protocol.decode_message(
-            protocol.encode_message(header, wire)
-        )
+        frame = protocol.encode_message(header, wire)
+        decoded_header, views = protocol.decode_message(frame)
+        assert all(view.obj is frame for view in views)
         export = protocol.export_from_message(decoded_header, views)
-        assert all(
-            isinstance(payload, memoryview)
-            for payload in export.payloads.values()
-        )
+        [payload] = export.payloads.values()
+        assert payload.encoding.startswith("sparse")
+        assert isinstance(payload.blob, bytes)
+        assert payload.blob == wire[0]
         coordinator = Coordinator(SPEC)
         coordinator.collect(export)
         reference = flat_reference(insertions("A", range(25)))
@@ -676,7 +737,7 @@ class TestWindowStamps:
         restored = CoordinatorServer.restore(tmp_path, parent_port=65_000)
         [retained] = restored.uplink.site.exports_after(0)
         assert retained.window_at == cut.window_at == 7.0
-        assert retained.payloads == dict(cut.payloads)
+        assert_same_cells(retained.payloads, cut.payloads)
 
     def test_wire_rejects_malformed_stamps(self):
         site = self._windowed_site()

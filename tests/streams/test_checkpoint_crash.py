@@ -23,6 +23,7 @@ import os
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.family import SketchSpec
@@ -246,6 +247,31 @@ def file_states(directory: pathlib.Path) -> dict:
     }
 
 
+def held_bytes(data) -> int:
+    """Bytes kept alive by an array or blob, counting the buffer a view
+    points into."""
+    if data is None:
+        return 0
+    while isinstance(data, np.ndarray) and data.base is not None:
+        data = data.base
+    if isinstance(data, memoryview):
+        data = data.obj
+    return data.nbytes if isinstance(data, np.ndarray) else len(data)
+
+
+def assert_retained_exports_hold_no_slab(leaf: CoordinatorServer) -> None:
+    """Every retained uplink export holds at most 16 B per non-zero cell
+    plus its blob — never a dense counter slab per stream."""
+    slab = SPEC.counter_payload_bytes
+    for export in leaf.uplink.site.exports_after(0):
+        assert export.payloads
+        for payload in export.payloads.values():
+            indices, values = payload.cells(SPEC.counter_cells)
+            held = held_bytes(indices) + held_bytes(values)
+            assert held <= 16 * indices.size
+            assert held < slab and held_bytes(payload.blob) < slab
+
+
 def test_parent_down_checkpoints_write_only_new_exports(tmp_path):
     async def scenario():
         tree = Tree(tmp_path / "leaf", windowed=False)
@@ -275,6 +301,8 @@ def test_parent_down_checkpoints_write_only_new_exports(tmp_path):
         # Flat: the 20th checkpoint writes about what the first did
         # (a full rewrite of every retained export would grow ~20x).
         assert max(written) <= 1.3 * min(written), written
+        assert_retained_exports_hold_no_slab(tree.leaf)
+        assert tree.leaf.coordinator.take_pending() == {}  # cut at checkpoint
 
         originals = tree.leaf.uplink.site.exports_after(0)
         await tree.client.close()
@@ -290,11 +318,20 @@ def test_parent_down_checkpoints_write_only_new_exports(tmp_path):
         for again, original in zip(replayed, originals):
             assert again.incarnation == original.incarnation
             assert again.window_at == original.window_at
-            assert again.payloads == dict(original.payloads)
+            assert sorted(again.payloads) == sorted(original.payloads)
+            for name, payload in again.payloads.items():
+                indices, values = payload.cells(SPEC.counter_cells)
+                expected = original.payloads[name].cells(SPEC.counter_cells)
+                assert indices.tobytes() == expected[0].tobytes()
+                assert values.tobytes() == expected[1].tobytes()
+        assert_retained_exports_hold_no_slab(tree.leaf)
         await tree.leaf.start()
         await tree.leaf.uplink.flush_retained()
         assert_matches(tree.root, tree.truth)
         assert tree.leaf.uplink.site.retained_exports == 0
+        # The root folded 20 exports and keeps none of them.
+        assert tree.root.coordinator.sites_collected >= 20
+        assert tree.root.coordinator.take_pending() == {}
 
         # The first checkpoint after the acks drops every acked file:
         # only the export it cuts itself is left.

@@ -25,7 +25,13 @@ class TestSite:
         assert export.site_id == "site-1"
         assert export.sequence == 1
         assert sorted(export.payloads) == ["A", "B"]
-        assert all(isinstance(p, bytes) for p in export.payloads.values())
+        reference = StreamEngine(SPEC)
+        reference.process_many([Update("A", 1, 1), Update("B", 2, 1)])
+        for name, payload in export.payloads.items():
+            indices, values = payload.cells(SPEC.counter_cells)
+            expected = reference.families()[name].nonzero_cells()
+            assert np.array_equal(indices, expected[0])
+            assert np.array_equal(values, expected[1])
 
     def test_export_empty_site(self):
         export = StreamSite("idle", SPEC).export()
