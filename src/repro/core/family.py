@@ -527,40 +527,16 @@ class SketchFamily:
         indices = np.flatnonzero(flat)
         return indices, flat[indices].copy()
 
-    @classmethod
-    def from_cells(
-        cls, indices: np.ndarray, values: np.ndarray, spec: SketchSpec
-    ) -> "SketchFamily":
-        """Rebuild a family from :meth:`nonzero_cells` output.
-
-        Byte-exact inverse: scattering the cells into a zero slab
-        reproduces the original counters bit for bit.
-        """
-        cells = spec.counter_cells
-        indices = np.asarray(indices, dtype=np.int64)
-        # min/max, not first/last: codec-produced input is sorted, but
-        # this is a public classmethod and an unsorted caller must not
-        # wrap a negative middle index into the wrong cell.
-        if indices.size and not (
-            0 <= int(indices.min()) and int(indices.max()) < cells
-        ):
-            raise IncompatibleSketchesError(
-                f"cell indices exceed the {cells}-cell counter slab"
-            )
-        counters = np.zeros(cells, dtype=np.int64)
-        counters[indices] = np.asarray(values, dtype=np.int64)
-        return cls(
-            spec, counters.reshape((spec.num_sketches,) + spec.shape.counter_shape)
-        )
-
     def add_cells(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Fold sparse delta cells into this family in place.
 
-        The coordinator's sparse fast path: equivalent to
-        ``merge_in_place(SketchFamily.from_cells(indices, values,
-        spec))`` — same exact int64 addition, bit-identical result —
-        without materialising the dense intermediate slab.  ``indices``
-        must be unique (strictly increasing, as the codec guarantees).
+        The fold primitive of every network delta
+        (:meth:`~repro.streams.engine.StreamEngine.merge_cells`): the
+        same exact int64 addition as :meth:`merge_in_place` of the
+        delta's dense slab, bit-identical, without materialising that
+        slab.  ``indices`` must be unique (strictly increasing, as
+        :meth:`nonzero_cells` and the codec produce them); an index
+        outside the slab raises before any counter changes.
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)

@@ -45,15 +45,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.expression import estimate_expression
 from repro.core.family import SketchFamily, SketchSpec, sum_cells
 from repro.core.results import UnionEstimate, WitnessEstimate
-from repro.core.union import estimate_union
-from repro.errors import DeltaSequenceError, UnknownStreamError
+from repro.errors import (
+    DeltaSequenceError,
+    IncompatibleSketchesError,
+    UnknownStreamError,
+)
 from repro.expr.ast import SetExpression
 from repro.expr.parser import parse
 from repro.streams.engine import StreamEngine
 from repro.streams.updates import Update
+from repro.streams.windows import finite_time
 
 __all__ = [
     "DeltaPayload",
@@ -425,9 +428,7 @@ class StreamSite:
         automatically; an unwindowed engine leaves it ``None``.
         """
         if window_at is not None:
-            window_at = float(window_at)
-            if window_at != window_at:  # NaN
-                raise ValueError("window_at must not be NaN")
+            window_at = finite_time(window_at)
         elif self._engine.is_windowed:
             clock = self._engine.window_clock
             if clock != float("-inf"):
@@ -581,21 +582,26 @@ class StreamSite:
 class Coordinator:
     """Central site: merges delta exports and answers cardinality queries.
 
-    The fold target is pluggable: by default the coordinator keeps a
-    plain per-stream :class:`~repro.core.family.SketchFamily` map, but
-    ``engine`` accepts a :class:`StreamEngine` — e.g. a windowed one, so
-    a coordinator of a federation tree buckets incoming network deltas
-    by time and answers windowed queries.  Sequence/incarnation
-    bookkeeping is identical either way; only where the counters land
-    differs.
+    Every coordinator folds into one :class:`StreamEngine`: ``engine``
+    when given — e.g. a windowed one, so a coordinator of a federation
+    tree buckets incoming network deltas by time and answers windowed
+    queries — and a plain ``StreamEngine(spec)`` otherwise.  Synopses
+    from many sites merge by addition, so each delta payload folds as
+    its non-zero cells through :meth:`StreamEngine.merge_cells`, and
+    every query, snapshot position and checkpoint is the engine's.  The
+    coordinator adds the per-site sequence and incarnation bookkeeping
+    that makes collection idempotent and gap-checked.
     """
 
     def __init__(
         self, spec: SketchSpec, *, engine: StreamEngine | None = None
     ) -> None:
+        if engine is not None and engine.spec != spec:
+            raise IncompatibleSketchesError(
+                "the fold engine does not follow the coordinator's SketchSpec"
+            )
         self.spec = spec
-        self._engine = engine
-        self._families: dict[str, SketchFamily] = {}
+        self._engine = engine if engine is not None else StreamEngine(spec)
         # site id -> incarnation -> last applied sequence.  Sequences are
         # scoped to one lifetime of a site process; keeping the history
         # per incarnation means a site id that restarts (or even
@@ -630,13 +636,15 @@ class Coordinator:
         A stream observed at several sites ends up with the sum of the
         sites' deltas — by linearity, exactly the sketch of the full
         stream.  Received payloads are decoded to cells here, at fold
-        time, and scatter straight into an existing synopsis without
-        materialising a dense slab.  Decoding is all-or-nothing: every
-        payload is decoded and validated before any synopsis is touched,
-        so a malformed blob
-        (:class:`~repro.streams.net.codec.CodecError`) leaves the
-        coordinator exactly as it was — the site can re-ship the same
-        export without any stream being folded twice.
+        time, and scatter straight into the fold engine's synopses
+        (:meth:`StreamEngine.merge_cells`) without materialising a dense
+        slab.  Decoding is all-or-nothing: every payload is decoded and
+        validated, and ``window_at`` checked, before any synopsis is
+        touched, so a malformed blob
+        (:class:`~repro.streams.net.codec.CodecError`) or a non-finite
+        stamp (:class:`ValueError`) leaves the coordinator exactly as it
+        was — the site can re-ship the same export without any stream
+        being folded twice.
 
         A coordinator that backs an uplink (:meth:`record_pending`) also
         adds each applied payload to its pending cut.
@@ -660,20 +668,23 @@ class Coordinator:
                 f"already applied; the batch cannot be split, so re-batch "
                 f"from {last + 1}"
             )
-        # Decode every payload before touching any synopsis.  Fold-time
-        # decode failure is an expected path under wire-format v2 (the
-        # server answers with an error and the site re-ships the same
-        # export after re-syncing); folding stream by stream would leave
-        # a failed export half-applied with applied_sequence unadvanced,
-        # and the re-shipped copy would then double-count the streams
-        # folded before the failure.
+        # Decode every payload, and check the stamp, before touching any
+        # synopsis.  Fold-time decode failure is an expected path under
+        # wire-format v2 (the server answers with an error and the site
+        # re-ships the same export after re-syncing); folding stream by
+        # stream would leave a failed export half-applied with
+        # applied_sequence unadvanced, and the re-shipped copy would
+        # then double-count the streams folded before the failure.
+        at = export.window_at
+        if at is not None:
+            at = finite_time(at)
         num_cells = self.spec.counter_cells
         decoded = [
             (stream, payload, payload.cells(num_cells))
             for stream, payload in export.payloads.items()
         ]
         for stream, payload, (indices, values) in decoded:
-            self._fold_cells(stream, indices, values, at=export.window_at)
+            self._engine.merge_cells(stream, indices, values, at=at)
             if self._pending is not None:
                 self._add_pending(stream, payload, indices, values)
         site_history = self._applied.setdefault(export.site_id, {})
@@ -683,29 +694,6 @@ class Coordinator:
         # stays comparable whether or not the uplink coalesced.
         self._collects_applied += export.sequence - first + 1
         return True
-
-    def _fold_cells(
-        self,
-        stream: str,
-        indices: np.ndarray,
-        values: np.ndarray,
-        at: float | None = None,
-    ) -> None:
-        """Fold one stream's delta cells.
-
-        ``at`` is the export's window watermark; a windowed fold engine
-        lands the delta in the ring bucket covering it (all-time
-        synopses are updated either way).  Unwindowed fold targets — the
-        plain family map included — ignore it.
-        """
-        if self._engine is None and stream in self._families:
-            self._families[stream].add_cells(indices, values)
-            return
-        incoming = SketchFamily.from_cells(indices, values, self.spec)
-        if self._engine is not None:
-            self._engine.merge_delta(stream, incoming, at=at)
-        else:
-            self._families[stream] = incoming
 
     def _add_pending(
         self,
@@ -817,16 +805,7 @@ class Coordinator:
 
     def adopt_family(self, stream: str, family: SketchFamily) -> None:
         """Install a pre-merged synopsis for ``stream`` (restore path)."""
-        if family.spec != self.spec:
-            from repro.errors import IncompatibleSketchesError
-
-            raise IncompatibleSketchesError(
-                "adopted family does not follow the coordinator's SketchSpec"
-            )
-        if self._engine is not None:
-            self._engine.adopt_family(stream, family)
-        else:
-            self._families[stream] = family
+        self._engine.adopt_family(stream, family)
 
     def set_applied_sequence(
         self, site_id: str, incarnation: str, sequence: int
@@ -842,40 +821,33 @@ class Coordinator:
     # -- queries -----------------------------------------------------------
 
     @property
-    def fold_engine(self) -> StreamEngine | None:
-        """The pluggable fold target (``None`` for the plain family map)."""
+    def fold_engine(self) -> StreamEngine:
+        """The engine every delta folds into and every query reads."""
         return self._engine
 
     @property
     def is_windowed(self) -> bool:
-        """Whether the fold target buckets incoming deltas by time.
+        """Whether the fold engine buckets incoming deltas by time.
 
-        True only for a windowed :class:`StreamEngine` fold target.
         Exposing it here lets an uplink :class:`StreamSite` backed by
         this coordinator stamp its re-exports with the aggregated
         watermark automatically — a mid-tree node forwards windowed
         state upward exactly like a leaf.
         """
-        return self._engine is not None and self._engine.is_windowed
+        return self._engine.is_windowed
 
     @property
     def window_clock(self) -> float:
         """The fold engine's window watermark (``-inf`` when unwindowed)."""
-        if self._engine is None:
-            return float("-inf")
         return self._engine.window_clock
 
     def families(self) -> dict[str, SketchFamily]:
         """``stream -> merged synopsis`` (live objects, not copies)."""
-        if self._engine is not None:
-            return self._engine.families()
-        return dict(self._families)
+        return self._engine.families()
 
     def stream_names(self) -> list[str]:
         """Streams with a merged synopsis at the coordinator."""
-        if self._engine is not None:
-            return self._engine.stream_names()
-        return sorted(self._families)
+        return self._engine.stream_names()
 
     def _require_streams(self, names: Iterable[str]) -> None:
         missing = sorted(set(names) - set(self.stream_names()))
@@ -885,14 +857,6 @@ class Coordinator:
                 f"no synopsis collected for stream(s) "
                 f"{', '.join(repr(name) for name in missing)}; "
                 f"known streams: {known}"
-            )
-
-    def _check_windowed_query(self, window: float | None) -> None:
-        if window is not None and not self.is_windowed:
-            raise ValueError(
-                "windowed queries need a windowed fold engine; construct "
-                "the coordinator with engine=StreamEngine(spec, "
-                "window_span=...)"
             )
 
     def query(
@@ -909,16 +873,14 @@ class Coordinator:
 
         ``window`` restricts the estimate to the most recent ``window``
         time units of federated traffic — it requires a *windowed* fold
-        engine, which buckets incoming deltas by their exports'
-        ``window_at`` stamps (:class:`DeltaExport`).
+        engine (:class:`ValueError` otherwise), which buckets incoming
+        deltas by their exports' ``window_at`` stamps
+        (:class:`DeltaExport`).
         """
-        self._check_windowed_query(window)
         if isinstance(expression, str):
             expression = parse(expression)
         self._require_streams(expression.streams())
-        if self._engine is not None:
-            return self._engine.query(expression, epsilon, window=window)
-        return estimate_expression(expression, self._families, epsilon)
+        return self._engine.query(expression, epsilon, window=window)
 
     def query_union(
         self,
@@ -932,13 +894,9 @@ class Coordinator:
         names without a collected synopsis.  ``window`` as in
         :meth:`query`.
         """
-        self._check_windowed_query(window)
         names = list(stream_names)
         self._require_streams(names)
-        if self._engine is not None:
-            return self._engine.query_union(names, epsilon, window=window)
-        families = [self._families[name] for name in names]
-        return estimate_union(families, epsilon)
+        return self._engine.query_union(names, epsilon, window=window)
 
     def query_many(
         self,
@@ -948,15 +906,13 @@ class Coordinator:
     ) -> list[WitnessEstimate]:
         """Estimate many expressions in one pass over the merged synopses.
 
-        With a :class:`StreamEngine` fold target this delegates to its
-        batched :meth:`StreamEngine.query_many` (expressions over the
-        same stream set share one union estimate and one mask pass); the
-        plain family map evaluates each expression in turn.  Either way
-        each answer is bit-identical to querying alone, and unknown
-        streams raise :class:`~repro.errors.UnknownStreamError` before
-        anything is evaluated.
+        Delegates to the fold engine's batched
+        :meth:`StreamEngine.query_many` (expressions over the same
+        stream set share one union estimate and one mask pass); each
+        answer is bit-identical to querying alone, and unknown streams
+        raise :class:`~repro.errors.UnknownStreamError` before anything
+        is evaluated.
         """
-        self._check_windowed_query(window)
         parsed = [
             parse(expression) if isinstance(expression, str) else expression
             for expression in expressions
@@ -965,37 +921,11 @@ class Coordinator:
         for expression in parsed:
             names.update(expression.streams())
         self._require_streams(names)
-        if self._engine is not None:
-            return self._engine.query_many(parsed, epsilon, window=window)
-        return [
-            estimate_expression(expression, self._families, epsilon)
-            for expression in parsed
-        ]
+        return self._engine.query_many(parsed, epsilon, window=window)
 
     @property
     def snapshot_position(self) -> tuple[int, int]:
-        """A monotone snapshot token for the merged view.
-
-        With a :class:`StreamEngine` fold target this is the engine's
-        own ``(updates_processed, mutation_epoch)`` pair; for the plain
-        family map it is the count of applied collects, so two queries
-        answered at the same position saw the same merged synopses.
-        """
-        if self._engine is not None:
-            return self._engine.snapshot_position
-        return (self._collects_applied, 0)
-
-    def to_engine(self, batch_size: int = 4096) -> StreamEngine:
-        """Hand the merged global synopses to a live engine.
-
-        The engine adopts each merged family (shared storage) and can then
-        keep ingesting updates — e.g. a coordinator that also tails a
-        local stream after the periodic collection round.  A fold engine
-        is returned as-is.
-        """
-        if self._engine is not None:
-            return self._engine
-        engine = StreamEngine(self.spec, batch_size=batch_size)
-        for name, family in self._families.items():
-            engine.adopt_family(name, family)
-        return engine
+        """The fold engine's ``(updates_processed, mutation_epoch)``
+        snapshot token: every fold advances it, so two queries answered
+        at the same position saw the same merged synopses."""
+        return self._engine.snapshot_position

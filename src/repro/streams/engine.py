@@ -14,10 +14,11 @@ seen once, in order, and never re-read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.checks import combined_singleton_union_mask, empty_mask
 from repro.core.expression import estimate_expression
@@ -31,7 +32,7 @@ from repro.expr.compile import compile_expression
 from repro.expr.parser import parse
 from repro.streams.stats import QueryStats, WindowStats
 from repro.streams.updates import Update
-from repro.streams.windows import WindowRing, check_window_config
+from repro.streams.windows import WindowRing, check_window_config, finite_time
 
 __all__ = ["StreamEngine"]
 
@@ -109,7 +110,7 @@ class StreamEngine:
         Timestamp policy for windowed ingest, as in
         :class:`~repro.streams.windows.SlidingWindowDriver`: ``"raise"``
         (default) rejects regressing timestamps, ``"clamp"`` stamps them
-        at the watermark; NaN always raises.
+        at the watermark; NaN and ±inf always raise.
     """
 
     def __init__(
@@ -141,7 +142,7 @@ class StreamEngine:
         self._buffers: dict[str, tuple[list[int], list[int]]] = {}
         self._updates_processed = 0
         # Synopsis mutations that are not processed updates: delta folds
-        # (merge_delta) and non-empty window-bucket expiry.  Folded into
+        # (merge_cells) and non-empty window-bucket expiry.  Folded into
         # the cache position so the position-equality fast path stays
         # sound — without it a cached estimate could be served unchanged
         # after a merge or rotation mutated a participating family.
@@ -314,9 +315,7 @@ class StreamEngine:
             )
 
     def _checked_window_time(self, at: float) -> float:
-        at = float(at)
-        if math.isnan(at):
-            raise ValueError("timestamps must not be NaN")
+        at = finite_time(at)
         if at < self._window_clock:
             if self._clock_policy == "raise":
                 raise ValueError(
@@ -590,8 +589,8 @@ class StreamEngine:
     # -- checkpoint support -----------------------------------------------
 
     def adopt_family(self, stream: str, family: SketchFamily) -> None:
-        """Install a pre-built synopsis for ``stream`` (checkpoint restore,
-        or hand-off from a :class:`~repro.streams.distributed.Coordinator`).
+        """Install a pre-built synopsis for ``stream`` (checkpoint
+        restore).
 
         The family must follow the engine's spec; any buffered updates for
         the stream are discarded in favour of the adopted state.
@@ -610,19 +609,21 @@ class StreamEngine:
         self._query_cache.clear()
         self._union_cache.clear()
 
-    def merge_delta(
-        self, stream: str, delta: SketchFamily, at: float | None = None
+    def merge_cells(
+        self,
+        stream: str,
+        indices: np.ndarray,
+        values: np.ndarray,
+        at: float | None = None,
     ) -> None:
-        """Fold a delta synopsis into ``stream`` by linearity.
+        """Fold one stream's delta cells into its synopsis by linearity.
 
         The network-fold primitive: a
-        :class:`~repro.streams.distributed.Coordinator` backed by this
-        engine lands each incoming
-        :class:`~repro.streams.distributed.DeltaExport` payload here.
-        When the stream has no synopsis yet the delta is adopted
-        directly (ownership transfers to the engine); otherwise the
-        counters are added in place, which marks the family dirty so
-        cached queries revalidate.
+        :class:`~repro.streams.distributed.Coordinator` lands every
+        incoming :class:`~repro.streams.distributed.DeltaExport` payload
+        here as its non-zero cells, which scatter straight into the
+        stream's synopsis (:meth:`SketchFamily.add_cells`).  The fold
+        marks the family dirty, so cached queries revalidate.
 
         On a windowed engine, ``at`` attributes the delta to a window
         instant (the exporter's window clock at cut time): the delta
@@ -630,32 +631,24 @@ class StreamEngine:
         late delta whose bucket already expired folds into the all-time
         synopsis only — those updates are out of window.  Timestamp
         regressions are *not* errors here (site skew is expected at a
-        fold point); the ring clock simply never goes backwards.
+        fold point); the ring clock simply never goes backwards.  A
+        non-finite ``at`` raises :class:`ValueError` before anything is
+        folded.
         """
-        if delta.spec != self.spec:
-            from repro.errors import IncompatibleSketchesError
-
-            raise IncompatibleSketchesError(
-                "delta family does not follow the engine's SketchSpec"
-            )
+        windowed = at is not None and self._window_span is not None
+        if windowed:
+            at = finite_time(at)
         self._flush_stream(stream)
-        family = self._families.get(stream)
-        if family is None:
-            self.adopt_family(stream, delta)
-        else:
-            family.merge_in_place(delta)
+        self._family(stream).add_cells(indices, values)
         # A fold mutates the synopsis without processing updates; move
         # the epoch so the cache's position fast path cannot serve a
         # pre-merge result (version revalidation then catches the dirty
         # levels and recomputes).
         self._mutation_epoch += 1
-        if at is not None and self._window_span is not None:
-            at = float(at)
-            if math.isnan(at):
-                raise ValueError("timestamps must not be NaN")
+        if windowed:
             if at > self._window_clock:
                 self._window_clock = at
-            self._ring(stream).merge_at(delta, at)
+            self._ring(stream).merge_at(indices, values, at)
 
     def mark_replayed(self, num_updates: int) -> None:
         """Record updates that were applied before this engine existed

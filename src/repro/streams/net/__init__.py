@@ -13,8 +13,9 @@ exports on the wire:
   handshake (v1 peers transparently stay dense);
 * :mod:`~repro.streams.net.coordinator` —
   :class:`~repro.streams.net.coordinator.CoordinatorServer`, an asyncio
-  TCP server that folds incoming deltas into a live
-  :class:`~repro.streams.distributed.Coordinator` by sketch linearity,
+  TCP server that folds incoming deltas, as sparse cells, into a live
+  :class:`~repro.streams.distributed.Coordinator`'s
+  :class:`~repro.streams.engine.StreamEngine` by sketch linearity,
   periodically checkpoints (counters plus the per-site sequence map)
   through :mod:`repro.streams.checkpoint`, and re-syncs reconnecting
   sites from their last applied sequence;
@@ -31,10 +32,10 @@ the design goal is *concurrency* (many sites overlapping I/O on one
 event loop), not parallel speedup.
 
 Coordinators compose into **federation trees**: a
-:class:`~repro.streams.net.coordinator.CoordinatorServer` can fold into
-a :class:`~repro.streams.engine.StreamEngine` (``engine_factory=``)
-and re-export its aggregated deltas to a parent coordinator through an
-uplink :class:`~repro.streams.net.site.SiteClient` (``parent_port=``) —
+:class:`~repro.streams.net.coordinator.CoordinatorServer` folds into a
+plain or windowed :class:`~repro.streams.engine.StreamEngine`
+(``engine_factory=`` picks the window configuration) and re-exports its
+aggregated deltas to a parent coordinator through an uplink :class:`~repro.streams.net.site.SiteClient` (``parent_port=``) —
 the same sequence/retention/re-sync machinery at every hop, so the
 whole tree inherits the per-hop exactly-once-in-effect guarantees.
 """

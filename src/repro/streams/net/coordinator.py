@@ -25,10 +25,10 @@ a single-threaded loop, so no locks are needed.
 Two extensions make servers composable into **federation trees**
 (millions of sites cannot all terminate on one coordinator):
 
-* ``engine_factory=`` makes the fold target pluggable — a coordinator
-  can fold network deltas into a
-  :class:`~repro.streams.engine.StreamEngine` (e.g. a windowed one,
-  which buckets deltas by time) instead of a flat family map.
+* ``engine_factory=`` chooses the window configuration of the
+  :class:`~repro.streams.engine.StreamEngine` every coordinator folds
+  network deltas into — e.g. a windowed one, which buckets deltas by
+  time; without it the fold engine is a plain ``StreamEngine(spec)``.
 * ``parent_host``/``parent_port`` give the server an **uplink**: a
   :class:`~repro.streams.distributed.StreamSite` backed by the
   coordinator's own aggregated state, shipped to a parent coordinator
@@ -51,6 +51,7 @@ Two extensions make servers composable into **federation trees**
 from __future__ import annotations
 
 import asyncio
+import math
 import pathlib
 import uuid
 from urllib.parse import quote
@@ -151,7 +152,7 @@ def _check_uplink_state(state) -> None:
             raise unusable("retained streams", streams)
         window_at = entry.get("window_at")
         if window_at is not None and (
-            type(window_at) not in (int, float) or window_at != window_at
+            type(window_at) not in (int, float) or not math.isfinite(window_at)
         ):
             raise unusable("retained window_at", window_at)
 
@@ -208,8 +209,9 @@ class CoordinatorServer:
         explicit :meth:`checkpoint` calls).
     engine_factory:
         ``spec -> StreamEngine`` callable building the coordinator's fold
-        target (e.g. ``lambda spec: StreamEngine(spec, window_span=60)``).
-        ``None`` keeps the flat family-map fold.  Ignored when
+        engine, which chooses its window configuration (e.g. ``lambda
+        spec: StreamEngine(spec, window_span=60)``).  ``None`` folds
+        into a plain unwindowed ``StreamEngine(spec)``.  Ignored when
         ``coordinator`` is given (the restore path wires the engine
         itself).
     parent_host, parent_port:
@@ -364,41 +366,36 @@ class CoordinatorServer:
         reconnecting sites are greeted with exactly the sequence the
         restored state covers and re-ship everything newer.
 
-        ``engine_factory`` rebuilds the fold target.  When the
-        checkpoint carries uplink state, the restored server keeps the
-        same uplink incarnation, sequence counter, and retained exports
-        (read back from their ``uplink/`` files), so the parent
-        coordinator sees an unbroken peer: retained exports re-ship
-        bit-identical cells and nothing is lost or double-applied.  The
-        restored coordinator starts with no pending deltas (see
-        :meth:`checkpoint`).  Pass the same ``parent_port`` (and
-        friends) as the original run.  Uplink state written by the
+        Without ``engine_factory`` the engine
+        :func:`~repro.streams.checkpoint.restore_engine` rebuilt (window
+        rings included, for a windowed checkpoint) becomes the
+        coordinator's fold engine; with one, the factory's engine adopts
+        the restored synopses.  ``engine_factory`` cannot be combined
+        with a windowed checkpoint: the factory's engine would start
+        with empty rings, silently dropping in-window state, so that
+        combination raises :class:`ValueError` instead.
+
+        When the checkpoint carries uplink state, the restored server
+        keeps the same uplink incarnation, sequence counter, and
+        retained exports (read back from their ``uplink/`` files), so
+        the parent coordinator sees an unbroken peer: retained exports
+        re-ship bit-identical cells and nothing is lost or
+        double-applied.  The restored coordinator starts with no pending
+        deltas (see :meth:`checkpoint`).  Pass the same ``parent_port``
+        (and friends) as the original run.  Uplink state written by the
         format-2 layout, and an ill-typed ``extra["site_sequences"]`` or
         ``extra["uplink"]``, raise
         :class:`~repro.streams.checkpoint.CheckpointError`.
-
-        A checkpoint written by a *windowed* fold engine restores into
-        that engine directly — the engine
-        :func:`~repro.streams.checkpoint.restore_engine` rebuilt (rings
-        included) becomes the coordinator's fold target, so windowed
-        queries survive the restart.  ``engine_factory`` cannot be
-        combined with a windowed checkpoint: the factory's engine would
-        start with empty rings, silently dropping in-window state, so
-        that combination raises :class:`ValueError` instead.
         """
         replay = restore_engine(checkpoint_dir)
-        if replay.is_windowed:
-            if engine_factory is not None:
-                raise ValueError(
-                    "cannot restore a windowed checkpoint into a "
-                    "factory-built fold engine (its window rings would "
-                    "start empty); omit engine_factory"
-                )
+        if engine_factory is None:
             coordinator = Coordinator(replay.spec, engine=replay)
-        elif engine_factory is None:
-            coordinator = Coordinator(replay.spec)
-            for name, family in replay.families().items():
-                coordinator.adopt_family(name, family)
+        elif replay.is_windowed:
+            raise ValueError(
+                "cannot restore a windowed checkpoint into a "
+                "factory-built fold engine (its window rings would "
+                "start empty); omit engine_factory"
+            )
         else:
             fold = engine_factory(replay.spec)
             fold.mark_replayed(replay.updates_processed)
@@ -586,7 +583,7 @@ class CoordinatorServer:
             write_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, unwritten)
             self._uplink_files.update(unwritten)
         checkpoint_engine(
-            self.coordinator.to_engine(), self._checkpoint_dir, extra=extra
+            self.coordinator.fold_engine, self._checkpoint_dir, extra=extra
         )
         prune_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, retained)
         self._uplink_files &= retained

@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -398,8 +399,8 @@ def export_from_message(header: dict, blobs: Sequence[bytes]) -> DeltaExport:
         ):
             raise ProtocolError("window_at must be a number when present")
         window_at = float(window_at)
-        if window_at != window_at:  # NaN survives JSON via Infinity parsing
-            raise ProtocolError("window_at must not be NaN")
+        if not math.isfinite(window_at):  # JSON admits NaN and Infinity
+            raise ProtocolError(f"window_at must be finite, got {window_at}")
     wire_encodings = header.get("encodings", None)
     if wire_encodings is None:
         wire_encodings = ["dense"] * len(streams)

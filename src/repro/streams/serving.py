@@ -3,12 +3,13 @@
 Everything below :mod:`repro.streams.net` feeds data *in* — sites ship
 delta exports, coordinators fold them, trees re-export upward.  This
 module is the path *out*: :class:`QueryServer` mounts an asyncio query
-service on a fold target (a :class:`~repro.streams.engine.StreamEngine`
-or a :class:`~repro.streams.distributed.Coordinator`) and answers
-set-expression cardinality queries over the same length-framed protocol
-the ingest path speaks (``role: "query"`` in the hello; see
-:mod:`repro.streams.net.protocol`), so one port discipline, one framing
-codec, and one strict-decoding posture cover both directions.
+service on a :class:`~repro.streams.engine.StreamEngine` — or on a
+:class:`~repro.streams.distributed.Coordinator`, whose answers come from
+the engine it folds into — and answers set-expression cardinality
+queries over the same length-framed protocol the ingest path speaks
+(``role: "query"`` in the hello; see :mod:`repro.streams.net.protocol`),
+so one port discipline, one framing codec, and one strict-decoding
+posture cover both directions.
 
 Three properties carry the design:
 

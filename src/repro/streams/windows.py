@@ -42,6 +42,8 @@ import math
 from collections import deque
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.core.family import SketchFamily, SketchSpec, sum_families
 from repro.streams.updates import Update
 
@@ -79,11 +81,12 @@ class SlidingWindowDriver:
         timestamp with :class:`ValueError`.  ``"clamp"`` instead stamps
         late updates at the current watermark (they enter the window
         *now*, where they were observed, and expire a full span later)
-        and treats a backwards ``advance_to`` as a no-op; NaN is always
-        an error — there is no watermark it can mean.  Clamping is the
-        policy for wall-clock sources with small skew (e.g. merged feeds
-        from several machines), raising for logical/event time where a
-        regression is a bug worth hearing about.
+        and treats a backwards ``advance_to`` as a no-op; NaN and ±inf
+        are always errors — there is no watermark they can mean.
+        Clamping is the policy for wall-clock sources with small skew
+        (e.g. merged feeds from several machines), raising for
+        logical/event time where a regression is a bug worth hearing
+        about.
     """
 
     def __init__(
@@ -120,7 +123,7 @@ class SlidingWindowDriver:
 
         ``at`` must respect the configured ``clock_policy``: regressions
         raise by default, or are clamped to the current watermark (see
-        the class docstring); NaN timestamps always raise.
+        the class docstring); NaN and ±inf timestamps always raise.
         """
         at = self._checked_time(at)
         if at < self._clock:  # clamp policy: stamp at the watermark
@@ -135,8 +138,8 @@ class SlidingWindowDriver:
         Returns the number of updates observed.  Emission is **partial
         on error**: each pair is forwarded to the sinks as it is
         consumed, so if a timestamp is rejected mid-iterable (a
-        regression under ``clock_policy="raise"``, or NaN under either
-        policy) the earlier pairs have already been emitted and remain
+        regression under ``clock_policy="raise"``, or a non-finite one
+        under either policy) the earlier pairs have already been emitted and remain
         in the window — the driver and its sinks stay mutually
         consistent.  The return value tells the caller exactly how far
         the iterable got; resume by re-observing from that offset.
@@ -151,7 +154,7 @@ class SlidingWindowDriver:
         """Move the clock forward, expiring everything out of window.
 
         Returns the number of updates expired.  A regressing ``now``
-        raises or is ignored per ``clock_policy``; NaN always raises.
+        raises or is ignored per ``clock_policy``; NaN and ±inf always raise.
         The expiry cohort's inverse updates are emitted as one batch per
         sink (in observation order, so per-sink state is bit-identical
         to per-update emission); sinks without a batch entry point get
@@ -183,16 +186,9 @@ class SlidingWindowDriver:
     # -- internals -------------------------------------------------------------
 
     def _checked_time(self, value: float) -> float:
-        """Validate a timestamp against the clock policy.
-
-        NaN is rejected unconditionally: ``NaN < clock`` is False, so a
-        NaN would slip past any ordering check, become the new watermark,
-        and freeze expiry forever (every ``timestamp + span <= NaN``
-        comparison is False too).
-        """
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("timestamps must not be NaN")
+        """Validate a timestamp (:func:`finite_time`) against the clock
+        policy."""
+        value = finite_time(value)
         if value < self._clock and self.clock_policy == "raise":
             raise ValueError(
                 f"time went backwards: {value} after {self._clock}"
@@ -274,7 +270,8 @@ class WindowRing:
         """Buffer one update stamped ``at`` into its bucket.
 
         Timestamps follow ``clock_policy`` exactly like the driver:
-        regressions raise or clamp to the watermark, NaN always raises.
+        regressions raise or clamp to the watermark, NaN and ±inf always
+        raise.
         """
         at = self._checked_time(at)
         if at < self._clock:  # clamp policy: stamp at the watermark
@@ -308,9 +305,13 @@ class WindowRing:
         self._pending_counts = []
         self._pending_bucket = None
 
-    def merge_at(self, delta: SketchFamily, at: float) -> bool:
-        """Fold a delta synopsis attributed to instant ``at`` (federation).
+    def merge_at(
+        self, indices: np.ndarray, values: np.ndarray, at: float
+    ) -> bool:
+        """Fold delta cells attributed to instant ``at`` (federation).
 
+        ``indices``/``values`` are the delta's non-zero cells, as
+        :meth:`~repro.core.family.SketchFamily.add_cells` takes them.
         Advances the clock if ``at`` is ahead of it.  A *late* delta is
         not an error here (site skew is expected at a fold point): it
         lands in its true bucket if that bucket is still live, and is
@@ -319,9 +320,7 @@ class WindowRing:
         are out of window.  The caller folds the delta into its all-time
         synopsis regardless.
         """
-        at = float(at)
-        if math.isnan(at):
-            raise ValueError("timestamps must not be NaN")
+        at = finite_time(at)
         if at > self._clock:
             self._advance(at)
         bucket = self._bucket_of(at)
@@ -331,8 +330,8 @@ class WindowRing:
         family = self._buckets.get(bucket)
         if family is None:
             family = self._buckets[bucket] = self.spec.build()
-        family.merge_in_place(delta)
-        self._window.merge_in_place(delta)
+        family.add_cells(indices, values)
+        self._window.add_cells(indices, values)
         return True
 
     # -- queries ---------------------------------------------------------------
@@ -510,14 +509,26 @@ class WindowRing:
         return expired
 
     def _checked_time(self, value: float) -> float:
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("timestamps must not be NaN")
+        value = finite_time(value)
         if value < self._clock and self.clock_policy == "raise":
             raise ValueError(
                 f"time went backwards: {value} after {self._clock}"
             )
         return value
+
+
+def finite_time(value: float) -> float:
+    """``value`` as a float; NaN and ±inf raise :class:`ValueError`.
+
+    A NaN slips past every ordering check (``NaN < clock`` is False),
+    becomes the watermark and freezes expiry forever; an infinite
+    instant is a watermark no later time can pass, and has no bucket
+    (:func:`bucket_index` raises on it).
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"timestamps must be finite, got {value}")
+    return value
 
 
 def bucket_index(at: float, bucket_width: float) -> int:

@@ -411,7 +411,8 @@ class TestFamilyCellHelpers:
         family = SPEC.build()
         family.update_batch(np.arange(50, dtype=np.uint64))
         indices, values = family.nonzero_cells()
-        rebuilt = type(family).from_cells(indices, values, SPEC)
+        rebuilt = SPEC.build()
+        rebuilt.add_cells(indices, values)
         assert rebuilt.to_bytes() == family.to_bytes()
 
     def test_add_cells_matches_merge(self):
@@ -424,28 +425,27 @@ class TestFamilyCellHelpers:
         base.add_cells(*delta.nonzero_cells())
         assert base.to_bytes() == expected.to_bytes()
 
-    def test_from_cells_rejects_out_of_range(self):
+    def test_add_cells_rejects_out_of_range(self):
+        family = SPEC.build()
         with pytest.raises(IncompatibleSketchesError):
-            type(SPEC.build()).from_cells(
-                np.array([SPEC.counter_cells]), np.array([1]), SPEC
-            )
+            family.add_cells(np.array([SPEC.counter_cells]), np.array([1]))
+        assert family.is_zero()
 
-    def test_from_cells_rejects_unsorted_negative_middle(self):
-        # Public classmethod: unsorted input must not slip a negative
-        # middle index past a first/last-only check (it would wrap into
-        # the wrong cell).
+    def test_add_cells_rejects_unsorted_negative_middle(self):
+        # Unsorted input must not slip a negative middle index past a
+        # first/last-only check (it would wrap into the wrong cell).
+        family = SPEC.build()
         with pytest.raises(IncompatibleSketchesError):
-            type(SPEC.build()).from_cells(
-                np.array([0, -3, 5]), np.array([1, 1, 1]), SPEC
-            )
+            family.add_cells(np.array([0, -3, 5]), np.array([1, 1, 1]))
+        assert family.is_zero()
 
-    def test_from_cells_rejects_unsorted_oversized_middle(self):
+    def test_add_cells_rejects_unsorted_oversized_middle(self):
+        family = SPEC.build()
         with pytest.raises(IncompatibleSketchesError):
-            type(SPEC.build()).from_cells(
-                np.array([0, SPEC.counter_cells + 1, 5]),
-                np.array([1, 1, 1]),
-                SPEC,
+            family.add_cells(
+                np.array([0, SPEC.counter_cells + 1, 5]), np.array([1, 1, 1])
             )
+        assert family.is_zero()
 
     def test_counter_cell_arithmetic(self):
         assert SPEC.counter_payload_bytes == 8 * SPEC.counter_cells

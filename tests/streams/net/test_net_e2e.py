@@ -89,7 +89,7 @@ def ground_truth_engine() -> StreamEngine:
 def assert_bit_identical(coordinator: Coordinator, engine: StreamEngine):
     assert coordinator.stream_names() == engine.stream_names()
     for name, family in engine.families().items():
-        assert coordinator._families[name] == family, name
+        assert coordinator.families()[name] == family, name
     # Estimates are deterministic functions of the counters, so equal
     # counters must answer with bit-equal estimates.
     names = engine.stream_names()
@@ -159,13 +159,13 @@ class TestEndToEnd:
             # Re-delivery of everything still retained: no state change.
             snapshot = {
                 name: family.counters.copy()
-                for name, family in restored.coordinator._families.items()
+                for name, family in restored.coordinator.families().items()
             }
             for client in clients:
                 await client.connect()  # re-sync path; all duplicates
             for name, counters in snapshot.items():
                 assert np.array_equal(
-                    restored.coordinator._families[name].counters, counters
+                    restored.coordinator.families()[name].counters, counters
                 )
 
             stats = restored.stats()
@@ -222,7 +222,7 @@ class TestDuplicateDelivery:
         coordinator = run(scenario())
         unfailed = StreamEngine(SPEC)
         unfailed.process_many(insertions("A", range(100)))
-        assert coordinator._families["A"] == unfailed.family("A")
+        assert coordinator.families()["A"] == unfailed.family("A")
 
 
 class TestDroppedConnectionMidFrame:
@@ -277,7 +277,7 @@ class TestDroppedConnectionMidFrame:
         coordinator = run(scenario())
         unfailed = StreamEngine(SPEC)
         unfailed.process_many(insertions("A", range(50)))
-        assert coordinator._families["A"] == unfailed.family("A")
+        assert coordinator.families()["A"] == unfailed.family("A")
 
 
 class TestRestartFailover:
@@ -327,7 +327,44 @@ class TestRestartFailover:
             insertions("B", range(200, 260)) + deletions("A", range(0, 30))
         )
         for name, family in unfailed.families().items():
-            assert coordinator._families[name] == family
+            assert coordinator.families()[name] == family
+
+
+class TestUnwindowedRestore:
+    def test_restore_folds_into_the_restored_engine(self, tmp_path, monkeypatch):
+        """Without ``engine_factory``, the engine ``restore_engine``
+        rebuilt is the restored coordinator's fold target, and a collect
+        after the restore matches a flat engine bit for bit."""
+        from repro.streams.net import coordinator as coordinator_module
+
+        site = StreamSite("edge", SPEC)
+        flat = StreamEngine(SPEC)
+        first = insertions("A", range(100)) + insertions("B", range(50, 150))
+        site.observe_many(first)
+        flat.process_many(first)
+        server = CoordinatorServer(SPEC, checkpoint_dir=tmp_path)
+        server.coordinator.collect(site.export())
+        server.checkpoint()
+
+        rebuilt = []
+        restore_engine = coordinator_module.restore_engine
+
+        def recording_restore(directory):
+            rebuilt.append(restore_engine(directory))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(coordinator_module, "restore_engine", recording_restore)
+        restored = CoordinatorServer.restore(tmp_path)
+        assert restored.coordinator.fold_engine is rebuilt[0]
+        assert restored.coordinator.applied_sequence("edge") == 1
+
+        second = insertions("C", range(20)) + deletions("A", range(0, 40))
+        site.observe_many(second)
+        flat.process_many(second)
+        assert restored.coordinator.collect(site.export())
+        assert_bit_identical(restored.coordinator, flat)
+        for text in ("A & B", "(A - B) | C"):
+            assert restored.coordinator.query(text, 0.2) == flat.query(text, 0.2)
 
 
 class TestSiteRestart:
@@ -381,7 +418,7 @@ class TestSiteRestart:
         truth.process_many(insertions("B", range(40)))
         truth.flush()
         for name in ("A", "B"):
-            assert coordinator._families[name] == truth.family(name)
+            assert coordinator.families()[name] == truth.family(name)
 
 
 class TestRetryBudget:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
-from repro.streams.distributed import StreamSite
+from repro.streams.distributed import Coordinator, StreamSite
 from repro.streams.engine import StreamEngine
 from repro.streams.net.coordinator import CoordinatorServer
 from repro.streams.net.site import SiteClient
@@ -413,3 +413,56 @@ class TestUplinkCutsStayInOneBucket:
                 await root.stop()
 
         run(scenario())
+
+
+class TestCellsFoldMatchesColocatedEngine:
+    """The fold primitive alone, in process: two windowed sites whose
+    exports fold into one windowed coordinator as cells
+    (:meth:`StreamEngine.merge_cells`).  At every bucket boundary the
+    coordinator's rings — full span and a sub-window — and its answers
+    must be bit-identical to one windowed engine that observed both
+    sites' updates itself."""
+
+    def test_every_boundary_full_span_and_sub_window(self):
+        coordinator = Coordinator(SPEC, engine=windowed_factory(SPEC))
+        sites = [
+            StreamSite(name, SPEC, engine=windowed_factory(SPEC))
+            for name in ("s1", "s2")
+        ]
+        colocated = windowed_factory(SPEC)
+        rng = random.Random(12)
+        tick = WIDTH / 3
+        for step in range(1, 3 * (NUM_BUCKETS + 2) + 1):  # rolls 2 buckets out
+            at = step * tick  # every third tick closes a bucket
+            for site in sites:
+                for _ in range(10):
+                    update = Update(
+                        stream=rng.choice(STREAMS),
+                        element=rng.randrange(1, 4000),
+                        delta=rng.choice([1, 1, 1, -1]),
+                    )
+                    site.observe(update, at)
+                    colocated.observe(update, at)
+                assert coordinator.collect(site.export())
+            if step % 3:
+                continue
+            fold = coordinator.fold_engine
+            assert fold.window_clock == colocated.window_clock == at
+            for window in (WIDTH, SPAN):
+                for name in STREAMS:
+                    assert np.array_equal(
+                        fold.window_family(name, window).counters,
+                        colocated.window_family(name, window).counters,
+                    ), (name, window, at)
+                assert coordinator.query(EXPR, 0.25, window=window) == (
+                    colocated.query(EXPR, 0.25, window=window)
+                )
+                assert coordinator.query_union(STREAMS, 0.25, window=window) == (
+                    colocated.query_union(STREAMS, 0.25, window=window)
+                )
+        assert coordinator.fold_engine.window_stats().buckets_expired > 0
+        for name in STREAMS:
+            assert np.array_equal(
+                coordinator.fold_engine.family(name).counters,
+                colocated.family(name).counters,
+            ), name

@@ -10,6 +10,7 @@ bit-identically to a flat engine, faults or not.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 
 import numpy as np
@@ -747,6 +748,73 @@ class TestWindowStamps:
             corrupted = dict(header, window_at=bad)
             with pytest.raises(protocol.ProtocolError):
                 protocol.export_from_message(corrupted, blobs)
+
+    def test_wire_rejects_an_infinite_stamp_frame(self):
+        """JSON carries ``Infinity``; a frame stamped with it is a
+        protocol error, so it never reaches a fold point."""
+        site = self._windowed_site()
+        site.observe(Update("A", 1, 1), at=1.0)
+        export = site.export()
+        for stamp in (float("inf"), float("-inf")):
+            header, blobs = protocol.delta_message(
+                dataclasses.replace(export, window_at=stamp)
+            )
+            frame = protocol.encode_message(header, blobs)
+            assert b'"window_at":' in frame and b"Infinity" in frame
+            header, blobs = protocol.decode_message(frame)
+            with pytest.raises(protocol.ProtocolError, match="finite"):
+                protocol.export_from_message(header, blobs)
+
+    def test_site_rejects_infinite_stamps(self):
+        site = self._windowed_site()
+        site.observe(Update("A", 1, 1), at=1.0)
+        for stamp in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                site.export(window_at=stamp)
+        assert site.sequence == 0 and site.retained_exports == 0
+
+    def test_infinite_stamp_leaves_a_windowed_coordinator_unchanged(self):
+        """An ``inf``-stamped export used to fold its first stream into
+        the all-time synopsis, move the window clock to ``inf`` and only
+        then fail, leaving the applied sequence behind: each re-ship
+        folded that stream again.  The stamp is now checked before any
+        synopsis is touched."""
+        engine = StreamEngine(SPEC, window_span=10.0, bucket_width=2.0)
+        coordinator = Coordinator(SPEC, engine=engine)
+        site = self._windowed_site()
+        site.observe(Update("A", 1, 1), at=1.0)
+        site.observe(Update("B", 2, 1), at=1.0)
+        assert coordinator.collect(site.export())
+        site.observe(Update("A", 3, 1), at=1.5)
+        site.observe(Update("B", 4, 1), at=1.5)
+        export = site.export()
+        infinite = dataclasses.replace(export, window_at=float("inf"))
+
+        def state():
+            return {
+                name: family.to_bytes()
+                for name, family in coordinator.families().items()
+            }
+
+        before = state()
+        for _ in range(2):  # a re-ship must not fold anything either
+            with pytest.raises(ValueError, match="finite"):
+                coordinator.collect(infinite)
+            assert state() == before
+            assert coordinator.applied_sequence(site.site_id) == 1
+            assert engine.window_clock == 1.0
+        # The correctly stamped export still applies, exactly once.
+        assert coordinator.collect(export)
+        reference = site._engine
+        for name in "AB":
+            assert (
+                engine.family(name).to_bytes()
+                == reference.family(name).to_bytes()
+            )
+            assert (
+                engine.window_family(name).to_bytes()
+                == reference.window_family(name).to_bytes()
+            )
 
     def test_windowed_fold_routes_delta_into_its_bucket(self):
         engine = StreamEngine(SPEC, window_span=10.0, bucket_width=2.0)

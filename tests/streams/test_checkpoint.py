@@ -239,6 +239,7 @@ class TestFailureModes:
             ("retained sequence", 99),
             ("retained streams", "A"),
             ("retained window_at", "soon"),
+            ("retained window_at", float("inf")),
         ],
         ids=[
             "site-id-missing",
@@ -252,6 +253,7 @@ class TestFailureModes:
             "retained-sequence-ahead",
             "retained-streams-not-a-list",
             "retained-window-at-ill-typed",
+            "retained-window-at-infinite",
         ],
     )
     def test_malformed_uplink_state(self, tmp_path, field, value):

@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.expression import estimate_expression
 from repro.core.family import SketchSpec
 from repro.core.sketch import SketchShape
-from repro.errors import DeltaSequenceError, UnknownStreamError
+from repro.errors import (
+    DeltaSequenceError,
+    IncompatibleSketchesError,
+    UnknownStreamError,
+)
+from repro.expr.parser import parse
 from repro.streams.distributed import Coordinator, DeltaExport, StreamSite
 from repro.streams.engine import StreamEngine
 from repro.streams.updates import Update, insertions
@@ -93,7 +99,7 @@ class TestSite:
         truth = StreamEngine(SPEC)
         truth.process_many(insertions("A", range(80)))
         truth.flush()
-        assert coordinator._families["A"] == truth.family("A")
+        assert coordinator.families()["A"] == truth.family("A")
 
     def test_alternating_incarnations_never_double_count(self):
         """Two lives of one site id interleaving collects: each life's
@@ -115,7 +121,7 @@ class TestSite:
         truth = StreamEngine(SPEC)
         truth.process_many(insertions("A", range(60)))
         truth.flush()
-        assert coordinator._families["A"] == truth.family("A")
+        assert coordinator.families()["A"] == truth.family("A")
 
 
 class TestCoordinator:
@@ -134,7 +140,7 @@ class TestCoordinator:
 
         centralised = SPEC.build()
         centralised.update_batch(elements)
-        assert coordinator._families["A"] == centralised
+        assert coordinator.families()["A"] == centralised
 
     def test_repeated_collection_no_longer_double_counts(self):
         """Regression: observe -> export/collect -> observe ->
@@ -153,7 +159,7 @@ class TestCoordinator:
 
         ground_truth = SPEC.build()
         ground_truth.update_batch(np.concatenate([first, second]))
-        assert coordinator._families["A"] == ground_truth
+        assert coordinator.families()["A"] == ground_truth
 
     def test_duplicate_export_is_dropped_idempotently(self):
         site = StreamSite("s", SPEC)
@@ -161,9 +167,9 @@ class TestCoordinator:
         export = site.export()
         coordinator = Coordinator(SPEC)
         assert coordinator.collect(export) is True
-        before = coordinator._families["A"].counters.copy()
+        before = coordinator.families()["A"].counters.copy()
         assert coordinator.collect(export) is False  # retransmit
-        assert np.array_equal(coordinator._families["A"].counters, before)
+        assert np.array_equal(coordinator.families()["A"].counters, before)
         assert coordinator.duplicates_dropped == 1
 
     def test_sequence_gap_raises(self):
@@ -189,7 +195,7 @@ class TestCoordinator:
 
         ground_truth = SPEC.build()
         ground_truth.update_batch(np.array([1, 2], dtype=np.uint64))
-        assert coordinator._families["A"] == ground_truth
+        assert coordinator.families()["A"] == ground_truth
 
     def test_sites_collected_counter(self):
         coordinator = Coordinator(SPEC)
@@ -256,7 +262,7 @@ class TestCoordinator:
 
         survivors = SPEC.build()
         survivors.update_batch(np.arange(50, 100, dtype=np.uint64))
-        assert coordinator._families["A"] == survivors
+        assert coordinator.families()["A"] == survivors
 
     def test_stream_names(self):
         coordinator = Coordinator(SPEC)
@@ -274,7 +280,7 @@ class TestCoordinator:
 
         restored = Coordinator(SPEC)
         for name in coordinator.stream_names():
-            restored.adopt_family(name, coordinator._families[name].copy())
+            restored.adopt_family(name, coordinator.families()[name].copy())
         for site_id, history in coordinator.site_sequences().items():
             for incarnation, sequence in history.items():
                 restored.set_applied_sequence(site_id, incarnation, sequence)
@@ -294,15 +300,61 @@ class TestCoordinatorToEngine:
         coordinator = Coordinator(SPEC)
         coordinator.collect_from(site)
 
-        engine = coordinator.to_engine()
+        engine = coordinator.fold_engine
         assert engine.stream_names() == ["A"]
 
-        # Continue ingesting at the coordinator-turned-engine.
+        # Continue ingesting at the coordinator's fold engine.
         engine.process(Update("A", 7, 1))
         engine.flush()
         reference = SPEC.build()
         reference.update_batch(np.concatenate([elements, [7]]))
         assert engine.family("A") == reference
+
+
+class TestOneFoldPath:
+    """Every coordinator folds into a :class:`StreamEngine`, so an
+    unwindowed root answers from the engine's cache and stamps the
+    engine's snapshot position."""
+
+    EXPRESSIONS = ["A & B", "A - B", "(A | B) - (A & B)"]
+
+    def test_default_fold_target_is_a_plain_engine(self):
+        coordinator = Coordinator(SPEC)
+        assert isinstance(coordinator.fold_engine, StreamEngine)
+        assert not coordinator.is_windowed
+        assert coordinator.window_clock == float("-inf")
+        site = StreamSite("s", SPEC)
+        site.observe(Update("A", 1, 1))
+        coordinator.collect_from(site)
+        with pytest.raises(ValueError, match="not windowed"):
+            coordinator.query("A", 0.2, window=1.0)
+
+    def test_fold_engine_must_share_the_spec(self):
+        other = SketchSpec(num_sketches=128, shape=SHAPE, seed=18)
+        with pytest.raises(IncompatibleSketchesError):
+            Coordinator(SPEC, engine=StreamEngine(other))
+
+    def test_repeat_queries_between_collects_hit_the_engine_cache(self):
+        coordinator = Coordinator(SPEC)
+        site = StreamSite("s", SPEC)
+        positions = [coordinator.snapshot_position]
+        for low in (0, 300):
+            site.observe_many(insertions("A", range(low, low + 400)))
+            site.observe_many(insertions("B", range(low + 200, low + 500)))
+            coordinator.collect_from(site)
+            positions.append(coordinator.snapshot_position)
+
+            hits = coordinator.fold_engine.query_stats().cache_hits
+            first = coordinator.query_many(self.EXPRESSIONS, 0.2)
+            again = coordinator.query_many(self.EXPRESSIONS, 0.2)
+            assert coordinator.fold_engine.query_stats().cache_hits > hits
+            families = coordinator.families()
+            expected = [
+                estimate_expression(parse(text), families, 0.2)
+                for text in self.EXPRESSIONS
+            ]
+            assert first == again == expected
+        assert positions == sorted(set(positions))  # strictly increasing
 
 
 class TestFamilyDelta:
@@ -338,8 +390,9 @@ class TestFamilyDelta:
 
 class TestEngineBackedFoldFreshness:
     """Regression: an engine-backed coordinator used to serve a *stale*
-    cached estimate after a second collect, because ``merge_delta`` folds
-    counters without advancing the engine's updates-processed position.
+    cached estimate after a second collect, because a delta fold
+    (``merge_cells``) changes counters without advancing the engine's
+    updates-processed position.
     The mutation epoch now invalidates those entries."""
 
     def test_second_collect_invalidates_cached_estimate(self):

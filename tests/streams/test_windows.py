@@ -138,6 +138,38 @@ class TestClockPolicy:
         assert driver.in_window_count == 1
         assert store.distinct_count("A") == 1
 
+    @pytest.mark.parametrize("policy", ["raise", "clamp"])
+    @pytest.mark.parametrize("at", [float("inf"), float("-inf")], ids=["inf", "-inf"])
+    def test_infinite_time_rejected_and_engine_stays_usable(self, policy, at):
+        """An infinite instant has no ring bucket, and as a watermark no
+        later time could pass it: the engine, the ring and the driver
+        refuse it before changing anything, and keep working."""
+        engine = StreamEngine(
+            SPEC, window_span=10.0, bucket_width=2.0, clock_policy=policy
+        )
+        engine.observe(Update("A", 1, 1), at=5.0)
+        with pytest.raises(ValueError, match="finite"):
+            engine.observe(Update("A", 2, 1), at)
+        with pytest.raises(ValueError, match="finite"):
+            engine.advance_to(at)
+        assert engine.window_clock == 5.0
+        engine.observe(Update("A", 3, 1), at=6.0)
+        reference = StreamEngine(SPEC, window_span=10.0, bucket_width=2.0)
+        reference.observe(Update("A", 1, 1), at=5.0)
+        reference.observe(Update("A", 3, 1), at=6.0)
+        assert engine.family("A") == reference.family("A")
+        assert engine.window_family("A") == reference.window_family("A")
+
+        ring = WindowRing(SPEC, 10.0, 2.0, clock_policy=policy)
+        for call in (lambda: ring.observe(1, 1, at), lambda: ring.advance_to(at)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        assert ring.clock == float("-inf")
+        driver = SlidingWindowDriver(10.0, ExactStreamStore(), clock_policy=policy)
+        with pytest.raises(ValueError, match="finite"):
+            driver.observe(Update("A", 1, 1), at)
+        assert driver.in_window_count == 0
+
     def test_clamp_stamps_regressions_at_watermark(self):
         """A late update under ``"clamp"`` enters the window as if it
         arrived exactly at the watermark: it is forwarded, and it
@@ -409,14 +441,14 @@ class TestWindowRing:
         delta = SketchFamily(SPEC)
         delta.ingest_batch([9], [1])
         # late delta stamped inside a live bucket folds in
-        assert ring.merge_at(delta, 3.0) is True
+        assert ring.merge_at(*delta.nonzero_cells(), 3.0) is True
         assert 2 in ring.live_buckets()
         direct = SketchFamily(SPEC)
         direct.ingest_batch([9], [1])
         assert np.array_equal(ring.bucket(2).counters, direct.counters)
         # a delta stamped before the live span is reported unplaceable
         ring.advance_to(40.0)
-        assert ring.merge_at(delta, 3.0) is False
+        assert ring.merge_at(*delta.nonzero_cells(), 3.0) is False
 
     def test_empty_bucket_expiry_keeps_total_untouched(self):
         """Rotating out a bucket that never saw data must not rewrite the

@@ -94,7 +94,7 @@ class TestDistributedAgainstCentralised:
             coordinator.collect_from(site)
 
         for name in dataset.stream_names():
-            assert coordinator._families[name] == central.family(name)
+            assert coordinator.families()[name] == central.family(name)
 
         central_estimate = central.query("A & B", 0.15)
         distributed_estimate = coordinator.query("A & B", 0.15)
