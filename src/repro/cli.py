@@ -750,7 +750,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_ship(args: argparse.Namespace) -> int:
     import asyncio
-    import math
 
     from repro.streams.distributed import StreamSite
     from repro.streams.net.site import SiteClient
@@ -785,24 +784,19 @@ def _command_ship(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
         )
         # Log replay has no wall clock; the update index is the logical
-        # time.  In windowed mode an export is cut whenever a ring bucket
-        # completes, so every shipped delta falls entirely inside one
-        # coordinator bucket and windowed queries at the coordinator are
-        # bit-identical to a local windowed replay.
-        width = None
-        if windowed:
-            width = (
-                args.bucket_width
-                if args.bucket_width is not None
-                else args.window_span
-            )
+        # time.  In windowed mode the site cuts an export whenever an
+        # update enters a new ring bucket, so every shipped delta falls
+        # entirely inside one coordinator bucket and windowed queries at
+        # the coordinator are bit-identical to a local windowed replay;
+        # each cut is delivered at once.
         count = rounds = 0
         for update in source:
             count += 1
             if windowed:
+                cuts = site.sequence
                 client.observe(update, float(count))
-                if math.ceil((count + 1) / width) > math.ceil(count / width):
-                    await client.ship()
+                if site.sequence != cuts:
+                    await client.flush_retained()
                     rounds += 1
             else:
                 client.observe(update)

@@ -75,20 +75,22 @@ int hash_scatter(const uint64_t *elements, const int64_t *counts, int64_t n,
     return 0;
 }
 
-/* The non-zero cells of current - baseline (wrapping), then baseline =
- * current, in one pass over n cells.  indices and values must hold n
- * entries; the cells land in their first nnz, in ascending index order.
- * Returns nnz.  The writes are unconditional, so the loop has no branch
- * on the data. */
-int64_t diff_advance(const int64_t *current, int64_t *baseline,
-                     int64_t *indices, int64_t *values, int64_t n)
+/* The non-zero cells of current (+ addend, unless NULL) - baseline
+ * (wrapping), then baseline = current (+ addend), in one pass over n
+ * cells.  indices and values must hold n entries; the cells land in their
+ * first nnz, in ascending index order.  Returns nnz.  The writes are
+ * unconditional, so the loop has no branch on the data. */
+int64_t diff_advance(const int64_t *current, const int64_t *addend,
+                     int64_t *baseline, int64_t *indices, int64_t *values,
+                     int64_t n)
 {
     int64_t nnz = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t d = (uint64_t)current[i] - (uint64_t)baseline[i];
+        uint64_t c = (uint64_t)current[i] + (addend ? (uint64_t)addend[i] : 0);
+        uint64_t d = c - (uint64_t)baseline[i];
         indices[nnz] = i;
         values[nnz] = (int64_t)d;
-        baseline[i] = current[i];
+        baseline[i] = (int64_t)c;
         nnz += d != 0;
     }
     return nnz;

@@ -31,7 +31,7 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _SIGNATURES = {
     "hash_scatter": (ctypes.c_int, [_P, _P, _I, _P, _I, _P, _P, _I, _I, _I, _P, _P, _P]),
-    "diff_advance": (_I, [_P, _P, _P, _P, _I]),
+    "diff_advance": (_I, [_P, _P, _P, _P, _P, _I]),
     "merge_cells": (_I, [_P, _P, _I, _P, _P, _I, _P, _P]),
     "sparse_body": (_I, [_P, _P, _I, _P]),
     "sparse_decode": (ctypes.c_int, [_P, _I, _I, ctypes.c_uint64, _P, _P]),

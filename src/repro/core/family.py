@@ -467,7 +467,7 @@ class SketchFamily:
         return SketchFamily(self.spec, self.counters - baseline.counters)
 
     def delta_payload(
-        self, baseline: "SketchFamily"
+        self, baseline: "SketchFamily", plus: "SketchFamily | None" = None
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Advance ``baseline`` to this family; return the cells it moved.
 
@@ -477,14 +477,22 @@ class SketchFamily:
         what :meth:`diff_from`, :meth:`nonzero_cells` and a fresh
         :meth:`copy` as the next baseline compute, in one pass over the
         slab (the compiled kernel's ``diff_advance`` when it loaded).
+        ``plus`` diffs and advances to ``self + plus`` instead, in the
+        same one pass, without summing the two into a slab.
         ``baseline`` is a private snapshot: its incremental aggregates
         are not maintained.
         """
         self._check_compatible(baseline)
         current = self.counters.reshape(-1)
         previous = baseline.counters.reshape(-1)
+        addend = None
+        if plus is not None:
+            self._check_compatible(plus)
+            addend = plus.counters.reshape(-1)
         lib = _kernel.LIB
         if lib is None:
+            if addend is not None:
+                current = current + addend
             delta = current - previous
             np.copyto(previous, current)
             indices = np.flatnonzero(delta)
@@ -493,6 +501,7 @@ class SketchFamily:
         values = np.empty(current.size, dtype=np.int64)
         nonzero = lib.diff_advance(
             current.ctypes.data,
+            None if addend is None else addend.ctypes.data,
             previous.ctypes.data,
             indices.ctypes.data,
             values.ctypes.data,
@@ -540,12 +549,7 @@ class SketchFamily:
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
-        if indices.size and not (
-            0 <= int(indices.min()) and int(indices.max()) < self.spec.counter_cells
-        ):
-            raise IncompatibleSketchesError(
-                "cell indices exceed this family's counter slab"
-            )
+        check_cells(indices, self.spec.counter_cells)
         counters = self.counters
         if counters.flags.c_contiguous:
             counters.reshape(-1)[indices] += values
@@ -739,6 +743,17 @@ def _sum_cells_numpy(cell_sets) -> tuple[np.ndarray, np.ndarray]:
     sums = np.add.reduceat(values, starts)
     keep = sums != 0
     return indices[starts][keep], sums[keep]
+
+
+def check_cells(indices: np.ndarray, num_cells: int) -> None:
+    """Raise :class:`IncompatibleSketchesError` unless every cell index
+    lies in a ``num_cells``-cell counter slab."""
+    if indices.size and not (
+        0 <= int(indices.min()) and int(indices.max()) < num_cells
+    ):
+        raise IncompatibleSketchesError(
+            "cell indices exceed this family's counter slab"
+        )
 
 
 def check_same_coins(*families: SketchFamily) -> SketchSpec:

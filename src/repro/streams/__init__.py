@@ -30,7 +30,6 @@ from repro.streams.sources import (
     save_updates,
 )
 from repro.streams.updates import Update, deletions, insertions, interleave
-from repro.streams.windows import SlidingWindowDriver
 
 __all__ = [
     "ContinuousQueryProcessor",
@@ -57,5 +56,4 @@ __all__ = [
     "deletions",
     "insertions",
     "interleave",
-    "SlidingWindowDriver",
 ]

@@ -256,7 +256,7 @@ class ContinuousQueryProcessor:
         """Feed one *timestamped* update (windowed engines only).
 
         Routes through :meth:`StreamEngine.observe`, so the update lands
-        in both the all-time synopses and the window rings, then
+        in its stream ring's open bucket (in the window and all time), then
         evaluates due queries exactly like :meth:`process` — windowed
         standing queries see the ring state as of ``at``.
         """

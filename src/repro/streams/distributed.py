@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.family import SketchFamily, SketchSpec, sum_cells
+from repro.core.family import SketchFamily, SketchSpec, check_cells, sum_cells
 from repro.core.results import UnionEstimate, WitnessEstimate
 from repro.errors import (
     DeltaSequenceError,
@@ -56,7 +56,7 @@ from repro.expr.ast import SetExpression
 from repro.expr.parser import parse
 from repro.streams.engine import StreamEngine
 from repro.streams.updates import Update
-from repro.streams.windows import finite_time
+from repro.streams.windows import bucket_end, bucket_index, finite_time
 
 __all__ = [
     "DeltaPayload",
@@ -380,6 +380,10 @@ class StreamSite:
         self._shipped: dict[str, SketchFamily] = {}
         # sequence -> export, kept until acknowledged (fail-over replay).
         self._retained: dict[int, DeltaExport] = {}
+        # Whether anything was observed since the last export, and the
+        # latest instant of the window bucket observations go into.
+        self._unexported = False
+        self._bucket_end = float("-inf")
 
     # -- observing ---------------------------------------------------------
 
@@ -389,16 +393,36 @@ class StreamSite:
         ``at`` (windowed backing engines only) is the update's
         timestamp; it routes through
         :meth:`~repro.streams.engine.StreamEngine.observe` so the update
-        lands in the local window ring as well as the all-time synopsis.
+        lands in the local window ring.  An update that enters a new
+        window bucket while observations are un-exported first cuts and
+        retains an export of those, stamped with the old watermark: a
+        windowed coordinator files each export in the one bucket of its
+        stamp, so no export may span a bucket boundary.
         """
         if at is None:
             self._engine.process(update)
         else:
+            if at > self._bucket_end:
+                self._enter_bucket(at)
             self._engine.observe(update, at)
+        self._unexported = True
 
     def observe_many(self, updates: Iterable[Update]) -> None:
         """Observe a sequence of local updates."""
         self._engine.process_many(updates)
+        self._unexported = True
+
+    def _enter_bucket(self, at: float) -> None:
+        """Cut the un-exported observations if ``at`` opens a new bucket."""
+        engine = self._engine
+        if not engine.is_windowed:
+            return  # engine.observe() refuses the timestamp
+        width, clock = engine.bucket_width, engine.window_clock
+        bucket = bucket_index(max(finite_time(at), clock), width)
+        if self._unexported and clock > float("-inf"):
+            if bucket > bucket_index(clock, width):
+                self.export()
+        self._bucket_end = bucket_end(bucket, width)
 
     @property
     def updates_observed(self) -> int:
@@ -436,7 +460,12 @@ class StreamSite:
         if isinstance(self._engine, Coordinator):
             payloads = self._engine.take_pending()
         else:
-            payloads = self._diff_payloads()
+            num_cells = self.spec.counter_cells
+            payloads = {
+                name: DeltaPayload.from_cells(*cells, num_cells)
+                for name, cells in self._engine.diff_advance(self._shipped).items()
+            }
+        self._unexported = False
         self._sequence += 1
         export = DeltaExport(
             self.site_id,
@@ -447,23 +476,6 @@ class StreamSite:
         )
         self._retained[export.sequence] = export
         return export
-
-    def _diff_payloads(self) -> dict[str, DeltaPayload]:
-        """Each engine family's cells since its baseline, which advances."""
-        payloads = {}
-        num_cells = self.spec.counter_cells
-        for name, family in self._engine.families().items():
-            baseline = self._shipped.get(name)
-            if baseline is not None:
-                cells = family.delta_payload(baseline)  # advances it
-            else:
-                cells = family.nonzero_cells()
-                if not cells[0].size:
-                    continue
-                self._shipped[name] = family.copy()
-            if cells is not None:
-                payloads[name] = DeltaPayload.from_cells(*cells, num_cells)
-        return payloads
 
     def acknowledge(self, sequence: int) -> None:
         """Drop retained exports up to and including ``sequence``.
@@ -641,9 +653,11 @@ class Coordinator:
         slab.  Decoding is all-or-nothing: every payload is decoded and
         validated, and ``window_at`` checked, before any synopsis is
         touched, so a malformed blob
-        (:class:`~repro.streams.net.codec.CodecError`) or a non-finite
-        stamp (:class:`ValueError`) leaves the coordinator exactly as it
-        was — the site can re-ship the same export without any stream
+        (:class:`~repro.streams.net.codec.CodecError`), a cell outside
+        the counter slab
+        (:class:`~repro.errors.IncompatibleSketchesError`) or a
+        non-finite stamp (:class:`ValueError`) leaves the coordinator
+        exactly as it was — the site can re-ship the same export without any stream
         being folded twice.
 
         A coordinator that backs an uplink (:meth:`record_pending`) also
@@ -683,6 +697,8 @@ class Coordinator:
             (stream, payload, payload.cells(num_cells))
             for stream, payload in export.payloads.items()
         ]
+        for _, _, (indices, _) in decoded:
+            check_cells(indices, num_cells)
         for stream, payload, (indices, values) in decoded:
             self._engine.merge_cells(stream, indices, values, at=at)
             if self._pending is not None:

@@ -14,6 +14,7 @@ seen once, in order, and never re-read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -32,7 +33,14 @@ from repro.expr.compile import compile_expression
 from repro.expr.parser import parse
 from repro.streams.stats import QueryStats, WindowStats
 from repro.streams.updates import Update
-from repro.streams.windows import WindowRing, check_window_config, finite_time
+from repro.streams.windows import (
+    WindowRing,
+    bucket_end,
+    bucket_index,
+    check_window_config,
+    finite_time,
+    window_buckets,
+)
 
 __all__ = ["StreamEngine"]
 
@@ -94,23 +102,23 @@ class StreamEngine:
         Number of buffered updates per stream that triggers the vectorised
         maintenance path.
     window_span:
-        Enable sliding-window queries: each stream additionally maintains
-        a :class:`~repro.streams.windows.WindowRing` of time-bucketed
+        Enable sliding-window queries: each stream's synopsis becomes a
+        :class:`~repro.streams.windows.WindowRing` of time-bucketed
         synopses covering the most recent ``window_span`` time units, and
         ``query(..., window=W)`` answers over that state.  Timestamped
-        ingest goes through :meth:`observe`/:meth:`observe_many` (which
-        also feed the all-time synopses); the ring clock is shared across
-        streams and advanced by :meth:`advance_to`.
+        ingest goes through :meth:`observe`/:meth:`observe_many` into the
+        newest bucket, which the all-time synopsis includes; the ring
+        clock is shared across streams and advanced by :meth:`advance_to`.
     bucket_width:
         Bucket granularity of the window rings; must divide
         ``window_span`` evenly.  Defaults to the full span (one tumbling
         bucket).  Windowed queries may ask for any whole number of
         buckets up to the span.
     clock_policy:
-        Timestamp policy for windowed ingest, as in
-        :class:`~repro.streams.windows.SlidingWindowDriver`: ``"raise"``
-        (default) rejects regressing timestamps, ``"clamp"`` stamps them
-        at the watermark; NaN and ±inf always raise.
+        Timestamp policy for windowed ingest: ``"raise"`` (default)
+        rejects regressing timestamps, ``"clamp"`` stamps them at the
+        watermark (for wall-clock sources with small skew); NaN and ±inf
+        always raise.
     """
 
     def __init__(
@@ -136,6 +144,12 @@ class StreamEngine:
         self._clock_policy = clock_policy
         self._rings: dict[str, WindowRing] = {}
         self._window_clock = float("-inf")
+        # The latest instant of the watermark's bucket (bucket_end); NaN
+        # before the first instant, so that every comparison with it
+        # sends observe() down its checked path.
+        self._open_end = math.nan
+        # stream -> timestamped updates buffered for the open bucket
+        self._pending: dict[str, tuple[list[int], list[int]]] = {}
         self.spec = spec
         self._batch_size = batch_size
         self._families: dict[str, SketchFamily] = {}
@@ -160,7 +174,11 @@ class StreamEngine:
     # -- ingest --------------------------------------------------------------
 
     def process(self, update: Update) -> None:
-        """Ingest one update tuple ``<stream, element, ±delta>``."""
+        """Ingest one update tuple ``<stream, element, ±delta>``.
+
+        On a windowed engine an untimed update joins the all-time
+        synopsis and no window bucket (use :meth:`observe` for those).
+        """
         elements, deltas = self._buffers.setdefault(update.stream, ([], []))
         elements.append(update.element)
         deltas.append(update.delta)
@@ -194,10 +212,8 @@ class StreamEngine:
 
     def flush(self) -> None:
         """Push all buffered updates into the synopses."""
-        for stream in list(self._buffers):
+        for stream in list(self._buffers) + list(self._pending):
             self._flush_stream(stream)
-        for ring in self._rings.values():
-            ring.flush()
 
     # -- windowed ingest -------------------------------------------------------
 
@@ -227,26 +243,35 @@ class StreamEngine:
     def observe(self, update: Update, at: float) -> None:
         """Ingest one timestamped update (windowed engines only).
 
-        Feeds both the all-time synopsis (exactly like :meth:`process`)
-        and the stream's window ring.  ``at`` is validated against the
-        engine-wide watermark per ``clock_policy``; the watermark is
-        shared by all streams, mirroring
-        :class:`~repro.streams.windows.SlidingWindowDriver`'s single
-        clock.
+        The update is buffered for its stream ring's open bucket, which
+        the all-time synopsis includes; a flush applies the buffer in one
+        ``ingest_batch``.  ``at`` is validated against the engine-wide
+        watermark per ``clock_policy``; the watermark is shared by all
+        streams.  An instant inside the watermark's bucket costs two
+        float comparisons; one that opens a new bucket first flushes
+        every buffer into the bucket it belongs to.
         """
-        self._require_windowed()
-        at = self._checked_window_time(at)
-        self.process(update)
-        self._ring(update.stream).observe(update.element, update.delta, at)
+        at = float(at)
+        if self._window_clock <= at <= self._open_end:
+            self._window_clock = at
+        else:
+            self._checked_window_time(at)
+        buffered = self._pending.get(update.stream)
+        if buffered is None:
+            buffered = self._pending[update.stream] = ([], [])
+        elements, deltas = buffered
+        elements.append(update.element)
+        deltas.append(update.delta)
+        self._updates_processed += 1
+        if len(elements) >= self._batch_size:
+            self._flush_stream(update.stream)
 
     def observe_many(self, updates: Iterable[tuple[Update, float]]) -> int:
         """Ingest a sequence of ``(update, timestamp)`` pairs.
 
-        Returns the number of updates observed.  Like
-        :meth:`~repro.streams.windows.SlidingWindowDriver.observe_many`,
-        ingestion is partial on a rejected timestamp: earlier pairs have
-        already been applied, and the return value says how far the
-        iterable got.
+        Returns the number of updates observed.  Ingestion is partial on
+        a rejected timestamp: earlier pairs have already been applied,
+        and the return value says how far the iterable got.
         """
         self._require_windowed()
         observed = 0
@@ -261,7 +286,6 @@ class StreamEngine:
         Returns the total number of buckets expired.  Expiry is pure
         synopsis subtraction — no per-update state exists anywhere.
         """
-        self._require_windowed()
         now = self._checked_window_time(now)
         expired = 0
         for ring in self._rings.values():
@@ -275,6 +299,7 @@ class StreamEngine:
         up to the span); ``None`` means the full span.
         """
         self._require_windowed()
+        self._flush_stream(stream)
         ring = self._ring(stream)
         if self._window_clock != float("-inf"):
             self._advance_ring(ring, self._window_clock)
@@ -315,6 +340,9 @@ class StreamEngine:
             )
 
     def _checked_window_time(self, at: float) -> float:
+        """Validate ``at`` and move the watermark to it; returns the
+        instant the update is stamped at."""
+        self._require_windowed()
         at = finite_time(at)
         if at < self._window_clock:
             if self._clock_policy == "raise":
@@ -322,6 +350,14 @@ class StreamEngine:
                     f"time went backwards: {at} after {self._window_clock}"
                 )
             return self._window_clock  # clamp: stamp at the watermark
+        if not at <= self._open_end:
+            # ``at`` opens a new bucket: the buffered updates belong to
+            # the one the watermark is still in.
+            for stream in list(self._pending):
+                self._flush_stream(stream)
+            self._open_end = bucket_end(
+                bucket_index(at, self._bucket_width), self._bucket_width
+            )
         self._window_clock = at
         return at
 
@@ -377,8 +413,7 @@ class StreamEngine:
             expression = parse(expression)
         self.flush()
         window = self._checked_query_window(window)
-        if window is not None:
-            self._prepare_window(expression.streams())
+        self._prepare_window(expression.streams(), window)
         stats = self._query_stats
         stats.queries += 1
         if window is not None:
@@ -429,11 +464,9 @@ class StreamEngine:
         ]
         self.flush()
         window = self._checked_query_window(window)
-        if window is not None:
-            names: set[str] = set()
-            for expression in parsed:
-                names.update(expression.streams())
-            self._prepare_window(names)
+        self._prepare_window(
+            {name for expression in parsed for name in expression.streams()}, window
+        )
         stats = self._query_stats
         stats.queries += len(parsed)
         stats.batch_queries += len(parsed)
@@ -505,8 +538,7 @@ class StreamEngine:
         if not names:
             # Preserve the uncached error behaviour for an empty selection.
             return estimate_union([], epsilon)
-        if window is not None:
-            self._prepare_window(names)
+        self._prepare_window(names, window)
         return self._union_for(names, epsilon, use_cache, window)
 
     def explain(self, expression: SetExpression | str, epsilon: float = 0.1):
@@ -519,7 +551,7 @@ class StreamEngine:
         if isinstance(expression, str):
             expression = parse(expression)
         self.flush()
-        families = {name: self._family(name) for name in expression.streams()}
+        families = {name: self._alltime(name) for name in expression.streams()}
         return explain_expression(expression, families, epsilon)
 
     # -- introspection ---------------------------------------------------------
@@ -543,28 +575,62 @@ class StreamEngine:
 
     def stream_names(self) -> list[str]:
         """Streams with a registered synopsis or buffered updates."""
-        return sorted(set(self._families) | set(self._buffers))
+        return sorted(
+            set().union(self._families, self._buffers, self._rings, self._pending)
+        )
 
     def family(self, stream: str) -> SketchFamily:
-        """The maintained synopsis for ``stream`` (flushed first)."""
+        """The all-time synopsis for ``stream`` (flushed first)."""
         self._flush_stream(stream)
-        return self._family(stream)
+        return self._alltime(stream)
 
     def families(self) -> dict[str, SketchFamily]:
-        """Flushed ``stream -> synopsis`` mapping (live objects).
+        """Flushed ``stream -> all-time synopsis`` mapping (live objects).
 
-        The returned families share storage with the engine — they are
-        the maintained synopses themselves, not copies.  This is the
-        hand-off surface for checkpointing, delta export
-        (:class:`~repro.streams.distributed.StreamSite`), and
-        coordinator restore.
+        The returned families share storage with the engine, not copies:
+        on an unwindowed engine they are the maintained synopses
+        themselves; on a windowed one, the rings' memoised sums
+        (:meth:`~repro.streams.windows.WindowRing.alltime`), current
+        until the next mutation and refreshed in place by the next read.
+        This is the hand-off surface for checkpointing and coordinator
+        restore.
         """
         self.flush()
-        return {name: self._family(name) for name in self.stream_names()}
+        return {name: self._alltime(name) for name in self.stream_names()}
+
+    def diff_advance(
+        self, baselines: dict[str, SketchFamily]
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The cells each stream's all-time synopsis moved since its
+        baseline, advancing the baselines to it (delta export).
+
+        ``baselines`` holds private ``stream -> snapshot`` copies, as
+        :class:`~repro.streams.distributed.StreamSite` keeps them; a
+        stream without one is diffed against zero and gets one.  Streams
+        that did not move are left out.  Each stream costs one pass over
+        its slab (:meth:`SketchFamily.delta_payload`), on a windowed
+        engine too, whose all-time synopsis is diffed from its two
+        addends without summing them.
+        """
+        self.flush()
+        moved = {}
+        for name in self.stream_names():
+            baseline = baselines.get(name)
+            if baseline is None:
+                baseline = baselines[name] = self.spec.build()
+            if self._window_span is None:
+                cells = self._family(name).delta_payload(baseline)
+            else:
+                cells = self._ring(name).delta_payload(baseline)
+            if cells is not None:
+                moved[name] = cells
+        return moved
 
     def synopsis_bytes(self) -> int:
-        """Total size of all maintained counter arrays, in bytes."""
-        return sum(family.counters.nbytes for family in self._families.values())
+        """Total size of the all-time synopses' counter arrays, in bytes."""
+        return self.spec.counter_payload_bytes * len(
+            set(self._families) | set(self._rings)
+        )
 
     def plan_stats(self):
         """Hash-plan counters for this engine's spec.
@@ -601,7 +667,13 @@ class StreamEngine:
             raise IncompatibleSketchesError(
                 "adopted family does not follow the engine's SketchSpec"
             )
-        self._families[stream] = family
+        if self._window_span is None:
+            self._families[stream] = family
+        else:
+            # The open bucket keeps its timestamped updates (they are in
+            # the window), and the all-time value becomes the adopted one.
+            self._flush_stream(stream)
+            self._ring(stream).set_alltime(family)
         self._buffers.pop(stream, None)
         # The synopsis *object* was replaced (its version counter restarts),
         # so cached entries referencing the old family could revalidate
@@ -627,28 +699,28 @@ class StreamEngine:
 
         On a windowed engine, ``at`` attributes the delta to a window
         instant (the exporter's window clock at cut time): the delta
-        additionally lands in the stream's ring bucket for ``at``.  A
-        late delta whose bucket already expired folds into the all-time
-        synopsis only — those updates are out of window.  Timestamp
-        regressions are *not* errors here (site skew is expected at a
-        fold point); the ring clock simply never goes backwards.  A
-        non-finite ``at`` raises :class:`ValueError` before anything is
-        folded.
+        lands in the stream's ring bucket for ``at``, which the all-time
+        synopsis includes — one cells add when that is the open bucket
+        (:meth:`WindowRing.merge_at`).  A late delta whose bucket already
+        expired folds into the all-time synopsis only — those updates
+        are out of window — and so does a delta without ``at``.
+        Timestamp regressions are *not* errors here (site skew is
+        expected at a fold point); the ring clock simply never goes
+        backwards.  A non-finite ``at`` raises :class:`ValueError`
+        before anything is folded.
         """
-        windowed = at is not None and self._window_span is not None
-        if windowed:
-            at = finite_time(at)
-        self._flush_stream(stream)
-        self._family(stream).add_cells(indices, values)
+        if self._window_span is None:
+            self._flush_stream(stream)
+            self._family(stream).add_cells(indices, values)
+        else:
+            if at is not None and finite_time(at) > self._window_clock:
+                self._checked_window_time(at)
+            self._ring(stream).merge_at(indices, values, at)
         # A fold mutates the synopsis without processing updates; move
         # the epoch so the cache's position fast path cannot serve a
         # pre-merge result (version revalidation then catches the dirty
         # levels and recomputes).
         self._mutation_epoch += 1
-        if windowed:
-            if at > self._window_clock:
-                self._window_clock = at
-            self._ring(stream).merge_at(indices, values, at)
 
     def mark_replayed(self, num_updates: int) -> None:
         """Record updates that were applied before this engine existed
@@ -666,9 +738,10 @@ class StreamEngine:
         ``metadata`` is JSON-safe (window config, shared clock, and each
         stream's live bucket indices); ``payloads`` are the non-zero
         buckets' counter slabs keyed ``"<stream>@<bucket_index>"`` — they
-        travel as files next to the stream payloads, the in-window
-        totals are rebuilt by summation on restore.  Only meaningful on
-        a windowed engine (see :func:`repro.streams.checkpoint.checkpoint_engine`).
+        travel as files next to the stream payloads (the all-time
+        synopses), and the rings' closed sums are rebuilt from both on
+        restore.  Only meaningful on a windowed engine (see
+        :func:`repro.streams.checkpoint.checkpoint_engine`).
         """
         self._require_windowed()
         self.flush()
@@ -700,12 +773,16 @@ class StreamEngine:
         The engine must have been constructed with the checkpoint's
         window config; ``buckets_by_stream`` carries the decoded bucket
         synopses (absent buckets restore as empty — they were all-zero
-        at checkpoint time and carry no state).
+        at checkpoint time and carry no state).  Each stream keeps the
+        all-time synopsis it already has (adopted from the checkpoint
+        first, by :func:`~repro.streams.checkpoint.restore_engine`).
         """
         self._require_windowed()
+        self.flush()
         clock = meta.get("clock")
         if clock is not None:
             self._window_clock = float(clock)
+            self._open_end = math.nan  # the next observe finds the bucket
         for stream, indices in meta.get("streams", {}).items():
             decoded = buckets_by_stream.get(stream, {})
             buckets = {
@@ -713,6 +790,7 @@ class StreamEngine:
                 for index in indices
                 if int(index) in decoded
             }
+            previous = self._rings.get(stream)
             self._rings[stream] = WindowRing.restore(
                 self.spec,
                 self._window_span,
@@ -720,6 +798,7 @@ class StreamEngine:
                 clock,
                 buckets,
                 clock_policy=self._clock_policy,
+                alltime=None if previous is None else previous.alltime(),
             )
 
     # -- query internals -------------------------------------------------------
@@ -739,39 +818,32 @@ class StreamEngine:
         if window is None:
             return None
         self._require_windowed()
-        window = float(window)
-        if not window > 0:
-            raise ValueError("window must be positive")
-        if window > self._window_span + 1e-9:
-            raise ValueError(
-                f"window {window} exceeds the engine's span {self._window_span}"
-            )
-        buckets = window / self._bucket_width
-        if abs(buckets - round(buckets)) > 1e-9 or round(buckets) < 1:
-            raise ValueError(
-                f"window {window} is not a whole number of bucket widths "
-                f"({self._bucket_width})"
-            )
-        return window
+        window_buckets(window, self._window_span, self._bucket_width)
+        return float(window)
 
-    def _prepare_window(self, names: Iterable[str]) -> None:
-        """Advance the participating rings to the shared watermark.
+    def _prepare_window(self, names: Iterable[str], window: float | None) -> None:
+        """Bring a windowed engine's participating synopses up to date.
 
         Rings rotate lazily: ingest only advances the observed stream's
         ring, so before a windowed evaluation every participating ring
         (materialised on demand — a never-observed stream has an empty
         window) catches up to the engine clock, expiring what fell out.
+        And the synopses a query reads are memoised sums, rebuilt on
+        read: they are read here, before any cache lookup, so that a
+        cached entry revalidates against their current versions.
         """
+        if self._window_span is None:
+            return
         clock = self._window_clock
         for name in names:
-            ring = self._ring(name)
-            if clock != float("-inf"):
-                self._advance_ring(ring, clock)
+            if window is not None and clock != float("-inf"):
+                self._advance_ring(self._ring(name), clock)
+            self._family_for(name, window)
 
     def _family_for(self, stream: str, window: float | None) -> SketchFamily:
         if window is None:
-            return self._family(stream)
-        return self._rings[stream].family(window)
+            return self._alltime(stream)
+        return self._ring(stream).family(window)
 
     def _cache_lookup(
         self, cache: dict[tuple, _CacheEntry], key: tuple, union: bool = False
@@ -984,17 +1056,33 @@ class StreamEngine:
     # -- internals ------------------------------------------------------------
 
     def _family(self, stream: str) -> SketchFamily:
+        """An unwindowed engine's maintained synopsis for ``stream``."""
         if stream not in self._families:
             self._families[stream] = self.spec.build()
         return self._families[stream]
 
+    def _alltime(self, stream: str) -> SketchFamily:
+        """The all-time synopsis for reading (buffers not flushed)."""
+        if self._window_span is None:
+            return self._family(stream)
+        return self._ring(stream).alltime()
+
     def _flush_stream(self, stream: str) -> None:
-        buffered = self._buffers.get(stream)
-        if not buffered or not buffered[0]:
-            return
-        elements, deltas = buffered
-        # ingest_batch aggregates the buffer by linearity (duplicates
+        # ingest_batch aggregates a buffer by linearity (duplicates
         # collapse, churn cancels) before maintenance — bit-identical to
         # update_batch, faster on real (skewed, churning) traffic.
-        self._family(stream).ingest_batch(elements, deltas)
-        self._buffers[stream] = ([], [])
+        buffered = self._buffers.get(stream)
+        if buffered and buffered[0]:
+            elements, deltas = buffered
+            if self._window_span is None:
+                self._family(stream).ingest_batch(elements, deltas)
+            else:
+                self._ring(stream).ingest_unbucketed(elements, deltas)
+            self._buffers[stream] = ([], [])
+        pending = self._pending.pop(stream, None)
+        if pending is not None:
+            # Buffered timestamped updates belong to the watermark's
+            # bucket: bring the ring there, then one scatter into it.
+            ring = self._ring(stream)
+            self._advance_ring(ring, self._window_clock)
+            ring.ingest(*pending)

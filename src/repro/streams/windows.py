@@ -1,211 +1,47 @@
-"""Sliding-window semantics via deletions.
+"""Sliding windows as rings of time-bucketed synopses.
 
 The paper's footnote treats modifications as deletion+insertion; the same
 move turns its deletion-proof synopses into *sliding-window* synopses: as
-items age out of the window, the source issues the inverse updates, and
-the sketch — being deletion-invariant — ends up identical to a sketch
-over only the in-window items.
+items age out of the window, subtracting them leaves a sketch identical
+to one over only the in-window items.  Replaying each update's inverse as
+it ages out is exact, but holds every in-window update and pays for each
+one at expiry.  :class:`WindowRing` needs no per-update memory at all: a
+ring of time-bucketed synopses per stream, where ageing out a whole
+cohort is one subtraction of its bucket's synopsis.
 
-Two implementations live here, one per side of the wire:
+Precision is bucket-granular: buckets are the left-open intervals
+``((b-1)·width, b·width]``, so at every instant that is an exact multiple
+of the bucket width the ring's window is *bit-identical* to a sketch fed
+every update and, one span later, its inverse; between boundaries the
+ring keeps the oldest bucket until it has fully expired, over-covering by
+less than one bucket.
 
-:class:`SlidingWindowDriver` is the **source side**: it forwards each
-timestamped update to its sink(s) and remembers it; when time advances
-past ``window_span``, it emits the inverse updates of everything that
-fell out.  Memory is proportional to the number of *in-window* updates —
-that state lives at the observing source (which sees its own traffic
-anyway), not at the query processor, so the streaming model downstream is
-untouched.
+Ingest lands in the newest (*open*) bucket only, so each batch is hashed
+and scattered once.  By linearity the window synopsis is the sum of the
+live buckets and the all-time synopsis the sum of every bucket; the ring
+keeps the all-time sum without the open bucket while it takes ingest,
+adds the open bucket when a reader asks, and sums windows on read.
 
-:class:`WindowRing` is the **processor side**: a ring of time-bucketed
-synopses that needs no per-update memory at all.  Updates land in the
-newest bucket; the in-window synopsis is the linear *sum* of the live
-buckets, maintained incrementally; expiry is one vectorised subtraction
-of the oldest bucket (deletions come free in this sketch — ageing out a
-whole cohort is ``subtract_in_place`` of its synopsis).  Precision is
-bucket-granular: buckets are the left-open intervals ``((b-1)·width,
-b·width]``, so at every instant that is an exact multiple of the bucket
-width the ring's window is *bit-identical* to a driver-fed flat sketch;
-between boundaries the ring keeps the oldest bucket until it has fully
-expired, over-covering by less than one bucket.
-
-Feed either one **insert-only** observation streams ("items seen
-recently").  Windowing a stream that itself contains deletions is
-ill-defined for non-negative multiset semantics: expiring a deletion
-emits an insertion, and the interleaving can transiently drive an
-element's net in-window frequency negative (the sketch tolerates that;
-the exact reference store — correctly — does not).
+Feed a ring **insert-only** observation streams ("items seen recently").
+Windowing a stream that itself contains deletions is ill-defined for
+non-negative multiset semantics: expiring a deletion re-inserts, and the
+interleaving can transiently drive an element's net in-window frequency
+negative (the sketch tolerates that; an exact reference store —
+correctly — does not).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.family import SketchFamily, SketchSpec, sum_families
-from repro.streams.updates import Update
 
-__all__ = ["SlidingWindowDriver", "WindowRing", "check_window_config"]
+__all__ = ["WindowRing", "check_window_config"]
 
 _CLOCK_POLICIES = ("raise", "clamp")
-
-
-class SlidingWindowDriver:
-    """Maintains time-based sliding-window semantics over sinks.
-
-    Parameters
-    ----------
-    window_span:
-        Width of the window in the caller's time unit.  An update observed
-        at time ``t`` expires as soon as the clock reaches ``t +
-        window_span`` (exclusive bound: ``observe(..., at=0)`` with span 10
-        is still in-window at ``advance_to(9)`` and gone at 10).
-    sinks:
-        Objects with ``process(update)`` or ``apply(update)``; every
-        forwarded and inverse update goes to all of them.  Sinks that also
-        expose a batch entry point (``process_many`` or ``apply_many``)
-        receive each expiry cohort as **one batch per** ``advance_to``
-        instead of per-update scalar calls, engaging the vectorised
-        ingest path; per-sink update order is unchanged, so by sketch
-        linearity the result is bit-identical to the scalar path.
-    clock_policy:
-        What to do with a non-monotonic clock.  The driver's correctness
-        argument (expiry order equals observation order, so the deque
-        head is always the oldest in-window update) needs a
-        non-decreasing clock; a timestamp that silently moved it
-        backwards — or a NaN, which every comparison answers False for,
-        freezing expiry forever — would mis-expire updates with no
-        error.  ``"raise"`` (the default) rejects any regressing or NaN
-        timestamp with :class:`ValueError`.  ``"clamp"`` instead stamps
-        late updates at the current watermark (they enter the window
-        *now*, where they were observed, and expire a full span later)
-        and treats a backwards ``advance_to`` as a no-op; NaN and ±inf
-        are always errors — there is no watermark they can mean.
-        Clamping is the policy for wall-clock sources with small skew
-        (e.g. merged feeds from several machines), raising for
-        logical/event time where a regression is a bug worth hearing
-        about.
-    """
-
-    def __init__(
-        self, window_span: float, *sinks, clock_policy: str = "raise"
-    ) -> None:
-        if window_span <= 0:
-            raise ValueError("window_span must be positive")
-        if not sinks:
-            raise ValueError("need at least one sink")
-        if clock_policy not in _CLOCK_POLICIES:
-            raise ValueError("clock_policy must be 'raise' or 'clamp'")
-        self.window_span = window_span
-        self.clock_policy = clock_policy
-        self._handlers = []
-        self._batch_handlers = []
-        for sink in sinks:
-            handler = getattr(sink, "process", None) or getattr(sink, "apply", None)
-            if handler is None:
-                raise TypeError(
-                    f"{type(sink).__name__} has no process()/apply() method"
-                )
-            self._handlers.append(handler)
-            self._batch_handlers.append(
-                getattr(sink, "process_many", None)
-                or getattr(sink, "apply_many", None)
-            )
-        self._clock = float("-inf")
-        self._in_window: deque[tuple[float, Update]] = deque()
-
-    # -- ingest ---------------------------------------------------------------
-
-    def observe(self, update: Update, at: float) -> None:
-        """Forward one update observed at time ``at``.
-
-        ``at`` must respect the configured ``clock_policy``: regressions
-        raise by default, or are clamped to the current watermark (see
-        the class docstring); NaN and ±inf timestamps always raise.
-        """
-        at = self._checked_time(at)
-        if at < self._clock:  # clamp policy: stamp at the watermark
-            at = self._clock
-        self.advance_to(at)
-        self._emit(update)
-        self._in_window.append((at, update))
-
-    def observe_many(self, updates: Iterable[tuple[Update, float]]) -> int:
-        """Observe a sequence of (update, timestamp) pairs.
-
-        Returns the number of updates observed.  Emission is **partial
-        on error**: each pair is forwarded to the sinks as it is
-        consumed, so if a timestamp is rejected mid-iterable (a
-        regression under ``clock_policy="raise"``, or a non-finite one
-        under either policy) the earlier pairs have already been emitted and remain
-        in the window — the driver and its sinks stay mutually
-        consistent.  The return value tells the caller exactly how far
-        the iterable got; resume by re-observing from that offset.
-        """
-        observed = 0
-        for update, at in updates:
-            self.observe(update, at)
-            observed += 1
-        return observed
-
-    def advance_to(self, now: float) -> int:
-        """Move the clock forward, expiring everything out of window.
-
-        Returns the number of updates expired.  A regressing ``now``
-        raises or is ignored per ``clock_policy``; NaN and ±inf always raise.
-        The expiry cohort's inverse updates are emitted as one batch per
-        sink (in observation order, so per-sink state is bit-identical
-        to per-update emission); sinks without a batch entry point get
-        scalar calls.
-        """
-        now = self._checked_time(now)
-        if now < self._clock:  # clamp policy: backwards advance is a no-op
-            return 0
-        self._clock = now
-        inverses: list[Update] = []
-        while self._in_window and self._in_window[0][0] + self.window_span <= now:
-            _, update = self._in_window.popleft()
-            inverses.append(update.inverse())
-        if inverses:
-            self._emit_batch(inverses)
-        return len(inverses)
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def clock(self) -> float:
-        return self._clock
-
-    @property
-    def in_window_count(self) -> int:
-        """Number of updates currently inside the window."""
-        return len(self._in_window)
-
-    # -- internals -------------------------------------------------------------
-
-    def _checked_time(self, value: float) -> float:
-        """Validate a timestamp (:func:`finite_time`) against the clock
-        policy."""
-        value = finite_time(value)
-        if value < self._clock and self.clock_policy == "raise":
-            raise ValueError(
-                f"time went backwards: {value} after {self._clock}"
-            )
-        return value
-
-    def _emit(self, update: Update) -> None:
-        for handler in self._handlers:
-            handler(update)
-
-    def _emit_batch(self, updates: list[Update]) -> None:
-        for handler, batch_handler in zip(self._handlers, self._batch_handlers):
-            if batch_handler is not None:
-                batch_handler(updates)
-            else:
-                for update in updates:
-                    handler(update)
 
 
 class WindowRing:
@@ -215,24 +51,30 @@ class WindowRing:
     b·width]`` — an update stamped exactly on a boundary belongs to the
     bucket *ending* there.  With ``span = k·width``, at any boundary
     instant ``m·width`` the live buckets ``m-k+1 .. m`` cover exactly
-    the driver's window ``(m·width - span, m·width]``: no bucket is ever
+    the window ``(m·width - span, m·width]``: no bucket is ever
     partially expired at a boundary, which is what makes the ring
-    bit-identical to a :class:`SlidingWindowDriver`-fed flat sketch
-    there.  Between boundaries the oldest bucket is kept until the clock
-    reaches its full-expiry instant ``(b+k)·width``, so the ring
-    over-covers by less than one bucket width.
+    bit-identical to per-update expiry there.  Between boundaries the
+    oldest bucket is kept until the clock reaches its full-expiry
+    instant ``(b+k)·width``, so the ring over-covers by less than one
+    bucket width.
 
-    The in-window synopsis is maintained incrementally: every ingest
-    batch is applied to both the newest bucket and the window total
-    (same exact per-level dirty marking as a flat family, so cached
-    windowed estimates revalidate identically), and expiry of a
-    non-empty bucket is one ``subtract_in_place``.  Expiring an
-    all-zero bucket touches nothing — the window total's version is
-    unchanged and downstream caches revalidate in O(streams).
+    The bucket of the clock is the **open** bucket; every other live
+    bucket is closed.  Ingest goes into the open bucket only, one
+    ``ingest_batch`` per flushed batch.  One running sum holds every
+    closed bucket and the un-bucketed state: the all-time synopsis
+    without the open bucket.  A closing bucket is added to it, and a
+    late fold into a closed or expired bucket as it lands.  When a
+    reader asks for the all-time synopsis (:meth:`alltime`), the open
+    bucket is added too, and the sum then takes every fold into the open
+    bucket as well, until the next ingest subtracts it out again.
 
-    Sub-window queries at bucket granularity come free: ``family(window
-    = j·width)`` sums the newest ``j`` buckets, memoised per ``j`` and
-    rebuilt in place only when the member buckets change.
+    :meth:`family` sums the live buckets (the window) or the newest
+    ``j`` of them (a sub-window ``j·width``) on read, into a view that
+    later cell folds and expiries update in place and that is summed
+    again (same object, bumped version) only after an ingest or, for a
+    sub-window, a rotation.  Expiring an all-zero bucket touches
+    nothing, so callers cache results against a returned family's
+    version exactly as they would against a flat family.
     """
 
     def __init__(
@@ -251,14 +93,16 @@ class WindowRing:
         self.spec = spec
         self.clock_policy = clock_policy
         self._clock = float("-inf")
-        self._current: int | None = None  # newest bucket index
+        self._current: int | None = None  # the open bucket's index
         self._buckets: dict[int, SketchFamily] = {}
-        self._window = spec.build()  # maintained sum of the live buckets
-        self._pending_elements: list[int] = []
-        self._pending_counts: list[int] = []
-        self._pending_bucket: int | None = None
-        # j (bucket count) -> (family, ((bucket, version), ...)) memo
-        self._sub_windows: dict[int, tuple[SketchFamily, tuple]] = {}
+        # Every closed bucket plus the un-bucketed state, and the open
+        # bucket too while _total_has_open: the all-time synopsis.
+        self._total = spec.build()
+        self._total_has_open = False
+        # Window views: width in buckets -> the sum of its buckets, and
+        # the widths whose view is current.
+        self._views: dict[int, SketchFamily] = {}
+        self._valid: set[int] = set()
         self.rotations = 0
         self.buckets_expired = 0
         self.empty_expiries = 0
@@ -266,73 +110,75 @@ class WindowRing:
 
     # -- ingest ---------------------------------------------------------------
 
-    def observe(self, element: int, count: int, at: float) -> None:
-        """Buffer one update stamped ``at`` into its bucket.
-
-        Timestamps follow ``clock_policy`` exactly like the driver:
-        regressions raise or clamp to the watermark, NaN and ±inf always
-        raise.
-        """
-        at = self._checked_time(at)
-        if at < self._clock:  # clamp policy: stamp at the watermark
-            at = self._clock
-        self._advance(at)
-        bucket = self._bucket_of(at)
-        if self._pending_bucket is not None and self._pending_bucket != bucket:
-            self.flush()
-        self._pending_bucket = bucket
-        self._pending_elements.append(element)
-        self._pending_counts.append(count)
-
     def advance_to(self, now: float) -> int:
-        """Move the clock forward; returns the number of buckets expired."""
-        now = self._checked_time(now)
-        if now < self._clock:  # clamp policy: backwards advance is a no-op
-            return 0
-        return self._advance(now)
+        """Move the clock forward; returns the number of buckets expired.
 
-    def flush(self) -> None:
-        """Apply buffered updates to their bucket and the window total."""
-        if not self._pending_elements:
-            return
-        bucket = self._pending_bucket
-        family = self._buckets.get(bucket)
-        if family is None:
-            family = self._buckets[bucket] = self.spec.build()
-        family.ingest_batch(self._pending_elements, self._pending_counts)
-        self._window.ingest_batch(self._pending_elements, self._pending_counts)
-        self._pending_elements = []
-        self._pending_counts = []
-        self._pending_bucket = None
+        A backwards ``now`` raises under ``clock_policy="raise"`` and is
+        a no-op under ``"clamp"``; NaN and ±inf always raise.
+        """
+        return self._advance(self._checked_time(now))
+
+    def ingest(self, elements, counts) -> None:
+        """Apply a batch of updates stamped at the clock to the open
+        bucket (one ``ingest_batch``); advance the ring first."""
+        if self._current is None:
+            raise ValueError("the ring has no clock yet: advance it first")
+        open_bucket = self._bucket_for(self._current)
+        if self._total_has_open:
+            self._total.subtract_in_place(open_bucket)
+            self._total_has_open = False
+        open_bucket.ingest_batch(elements, counts)
+        self._valid.clear()  # every view holds the open bucket
+
+    def ingest_unbucketed(self, elements, counts) -> None:
+        """Apply a batch of untimed updates: they join the all-time
+        synopsis and no bucket, so they never enter a window."""
+        self._total.ingest_batch(elements, counts)
 
     def merge_at(
-        self, indices: np.ndarray, values: np.ndarray, at: float
+        self, indices: np.ndarray, values: np.ndarray, at: float | None
     ) -> bool:
         """Fold delta cells attributed to instant ``at`` (federation).
 
         ``indices``/``values`` are the delta's non-zero cells, as
         :meth:`~repro.core.family.SketchFamily.add_cells` takes them.
-        Advances the clock if ``at`` is ahead of it.  A *late* delta is
-        not an error here (site skew is expected at a fold point): it
-        lands in its true bucket if that bucket is still live, and is
-        skipped — returning ``False`` — if the bucket has already
-        expired, which is exactly the window semantics: those updates
-        are out of window.  The caller folds the delta into its all-time
-        synopsis regardless.
+        Advances the clock if ``at`` is ahead of it.  A fold into the
+        open bucket is one cells add, plus one into each read synopsis
+        that is current and covers it (so reads between folds re-sum
+        nothing).  A *late* delta is not an error here (site skew is
+        expected at a fold point): it lands in its true bucket if that
+        bucket is still live, and in the all-time synopsis only —
+        returning ``False`` — if the bucket has already expired, which
+        is exactly the window semantics: those updates are out of
+        window.  ``at=None`` folds into the all-time synopsis only, too.
         """
-        at = finite_time(at)
-        if at > self._clock:
-            self._advance(at)
-        bucket = self._bucket_of(at)
-        if bucket <= self._expiry_threshold():
-            return False
-        self.flush()
-        family = self._buckets.get(bucket)
-        if family is None:
-            family = self._buckets[bucket] = self.spec.build()
-        family.add_cells(indices, values)
-        self._window.add_cells(indices, values)
-        return True
+        bucket = None
+        if at is not None:
+            at = finite_time(at)
+            if at > self._clock:
+                self._advance(at)
+            bucket = self._bucket_of(at)
+            if bucket <= self._expiry_threshold():
+                bucket = None
+        if bucket is not None:
+            self._bucket_for(bucket).add_cells(indices, values)
+            for width in self._valid:
+                if width == self.num_buckets or bucket > self._current - width:
+                    self._views[width].add_cells(indices, values)
+        if bucket is None or bucket != self._current or self._total_has_open:
+            self._total.add_cells(indices, values)
+        return bucket is not None
+
+    def set_alltime(self, family: SketchFamily) -> None:
+        """Make ``family``'s counters the all-time synopsis (adoption,
+        checkpoint restore); the window is untouched.
+
+        The running sum takes ``family``'s counters, open bucket
+        included; the next ingest subtracts that bucket out, which is
+        exact: int64 addition wraps, so it is a group.
+        """
+        sum_families([family], out=self._total)
+        self._total_has_open = True
 
     # -- queries ---------------------------------------------------------------
 
@@ -340,57 +186,56 @@ class WindowRing:
         """The in-window synopsis (optionally for a narrower sub-window).
 
         ``window`` must be a whole number of bucket widths in ``(0,
-        window_span]``; ``None`` means the full span.  The full-span
-        family is the incrementally maintained total; sub-window
-        families are memoised per width and rebuilt (in place, bumping
-        their version) only when their member buckets changed, so
-        callers can cache results against the returned family's version
-        exactly as they would against a flat family.
+        window_span]``; ``None`` means the full span: every live bucket.
+        A sub-window sums its newest buckets.  The sum is kept and
+        updated in place (see the class docstring).
         """
-        self.flush()
-        if window is None:
-            return self._window
-        j = self.check_window(window)
-        if j == self.num_buckets:
-            return self._window
-        members = []
-        if self._current is not None:
-            members = [
-                b
-                for b in range(self._current - j + 1, self._current + 1)
-                if b in self._buckets
-            ]
-        signature = tuple((b, self._buckets[b].version) for b in members)
-        cached = self._sub_windows.get(j)
-        if cached is not None and cached[1] == signature:
-            return cached[0]
-        family = cached[0] if cached is not None else self.spec.build()
-        if members:
-            sum_families([self._buckets[b] for b in members], out=family)
+        width = self.num_buckets
+        if window is not None:
+            width = window_buckets(window, self.window_span, self.bucket_width)
+        view = self._views.get(width)
+        if view is not None and width in self._valid:
+            return view
+        if width == self.num_buckets:
+            members = list(self._buckets.values())
         else:
-            family.counters[:] = 0
-            family.refresh_aggregates()
-        self.subwindow_rebuilds += 1
-        self._sub_windows[j] = (family, signature)
-        return family
+            newest = self._current or 0  # no clock yet: no buckets to find
+            members = [
+                self._buckets[index]
+                for index in range(newest - width + 1, newest + 1)
+                if index in self._buckets
+            ]
+            self.subwindow_rebuilds += 1
+        if members:
+            view = sum_families(members, out=view)
+        else:
+            view = view if view is not None else self.spec.build()
+            view.counters[:] = 0
+            view.refresh_aggregates()
+        self._views[width] = view
+        self._valid.add(width)
+        return view
 
-    def check_window(self, window: float) -> int:
-        """Validate a query window; returns its width in buckets."""
-        window = float(window)
-        if not window > 0:
-            raise ValueError("window must be positive")
-        if window > self.window_span + 1e-9:
-            raise ValueError(
-                f"window {window} exceeds the ring's span {self.window_span}"
-            )
-        buckets = window / self.bucket_width
-        rounded = round(buckets)
-        if rounded < 1 or abs(buckets - rounded) > 1e-9:
-            raise ValueError(
-                f"window {window} is not a whole number of bucket widths "
-                f"({self.bucket_width})"
-            )
-        return rounded
+    def alltime(self) -> SketchFamily:
+        """The all-time synopsis: every bucket, expired or not, plus the
+        un-bucketed state.  The same object every call; it changes (and
+        bumps its version) only when that value does — or, after an
+        ingest, to leave the open bucket out until the next call."""
+        if not self._total_has_open:
+            open_bucket = self._buckets.get(self._current)
+            if open_bucket is not None:
+                self._total.merge_in_place(open_bucket)
+            self._total_has_open = True
+        return self._total
+
+    def delta_payload(
+        self, baseline: SketchFamily
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Advance ``baseline`` to the all-time synopsis; the cells it
+        moved (:meth:`~repro.core.family.SketchFamily.delta_payload`),
+        diffed from the running sum and the open bucket in one pass."""
+        plus = None if self._total_has_open else self._buckets.get(self._current)
+        return self._total.delta_payload(baseline, plus=plus)
 
     # -- introspection ---------------------------------------------------------
 
@@ -400,7 +245,7 @@ class WindowRing:
 
     @property
     def current_bucket(self) -> int | None:
-        """Index of the bucket currently absorbing ingest."""
+        """Index of the open bucket (the one absorbing ingest)."""
         return self._current
 
     def live_buckets(self) -> list[int]:
@@ -413,21 +258,8 @@ class WindowRing:
 
     # -- checkpoint ------------------------------------------------------------
 
-    def state_meta(self) -> dict:
-        """JSON-safe ring metadata for a checkpoint manifest.
-
-        Bucket payloads travel separately (see :meth:`bucket_payloads`);
-        the window total is rebuilt by summation on restore.
-        """
-        self.flush()
-        return {
-            "clock": None if self._clock == float("-inf") else self._clock,
-            "buckets": [b for b in sorted(self._buckets)],
-        }
-
     def bucket_payloads(self) -> Iterator[tuple[int, bytes]]:
         """``(bucket_index, counter_payload)`` for each non-zero live bucket."""
-        self.flush()
         for index in sorted(self._buckets):
             family = self._buckets[index]
             if not family.is_zero():
@@ -443,12 +275,14 @@ class WindowRing:
         buckets: dict[int, SketchFamily],
         *,
         clock_policy: str = "raise",
+        alltime: SketchFamily | None = None,
     ) -> "WindowRing":
         """Rebuild a ring from checkpointed state.
 
-        The window total is recomputed as the sum of the restored
-        buckets — by linearity, bit-identical to the total at
-        checkpoint time.
+        ``alltime`` (the checkpointed all-time synopsis, if any) is
+        installed through :meth:`set_alltime`; windows are summed from
+        the buckets on the first read — by linearity, bit-identical to
+        their sums at checkpoint time.
         """
         ring = cls(spec, window_span, bucket_width, clock_policy=clock_policy)
         if clock is not None:
@@ -458,14 +292,18 @@ class WindowRing:
             for index, family in buckets.items():
                 if index > threshold:
                     ring._buckets[int(index)] = family
-            if ring._buckets:
-                sum_families(
-                    [ring._buckets[b] for b in sorted(ring._buckets)],
-                    out=ring._window,
-                )
+        if alltime is not None:
+            ring.set_alltime(alltime)
         return ring
 
     # -- internals -------------------------------------------------------------
+
+    def _bucket_for(self, index: int) -> SketchFamily:
+        """Live bucket ``index``, materialised on first use."""
+        family = self._buckets.get(index)
+        if family is None:
+            family = self._buckets[index] = self.spec.build()
+        return family
 
     def _bucket_of(self, at: float) -> int:
         return bucket_index(at, self.bucket_width)
@@ -485,12 +323,15 @@ class WindowRing:
         if now <= self._clock:
             return 0
         self._clock = now
-        new_bucket = self._bucket_of(now)
-        if self._current is not None and new_bucket != self._current:
-            self.rotations += 1
-        self._current = new_bucket
-        if self._pending_bucket is not None and self._pending_bucket != new_bucket:
-            self.flush()
+        bucket = self._bucket_of(now)
+        if bucket != self._current:
+            if self._current is not None:
+                self.rotations += 1
+                self._close(self._current)
+            self._current = bucket
+            # A rotation changes no sum, but which buckets the
+            # sub-windows hold.
+            self._valid &= {self.num_buckets}
         threshold = self._expiry_threshold()
         expired = 0
         for index in sorted(self._buckets):
@@ -500,20 +341,32 @@ class WindowRing:
             expired += 1
             self.buckets_expired += 1
             if family.is_zero():
-                # Nothing to subtract: the window total's version is
+                # Nothing to subtract: the window's version is
                 # untouched, so cached windowed estimates revalidate
                 # instead of recomputing.
                 self.empty_expiries += 1
-            else:
-                self._window.subtract_in_place(family)
+            elif self.num_buckets in self._valid:
+                self._views[self.num_buckets].subtract_in_place(family)
         return expired
 
+    def _close(self, index: int) -> None:
+        """Add the closing open bucket to the running sum (unless it
+        holds it already)."""
+        family = self._buckets.get(index)
+        if self._total_has_open or family is None or family.is_zero():
+            return
+        self._total.merge_in_place(family)
+
     def _checked_time(self, value: float) -> float:
+        """``value`` validated (:func:`finite_time`) against the clock
+        policy; a clamped regression comes back as the watermark."""
         value = finite_time(value)
-        if value < self._clock and self.clock_policy == "raise":
-            raise ValueError(
-                f"time went backwards: {value} after {self._clock}"
-            )
+        if value < self._clock:
+            if self.clock_policy == "raise":
+                raise ValueError(
+                    f"time went backwards: {value} after {self._clock}"
+                )
+            return self._clock
         return value
 
 
@@ -537,6 +390,19 @@ def bucket_index(at: float, bucket_width: float) -> int:
     return math.ceil(at / bucket_width)
 
 
+def bucket_end(index: int, bucket_width: float) -> float:
+    """The latest instant in bucket ``index``: the largest float that
+    :func:`bucket_index` maps there (``index·width``, give or take the
+    rounding of the product), so one comparison tells whether an
+    instant is still in the bucket."""
+    end = index * bucket_width
+    while bucket_index(end, bucket_width) > index:
+        end = math.nextafter(end, -math.inf)
+    while bucket_index(math.nextafter(end, math.inf), bucket_width) <= index:
+        end = math.nextafter(end, math.inf)
+    return end
+
+
 def check_window_config(
     window_span: float, bucket_width: float | None
 ) -> tuple[float, float, int]:
@@ -553,11 +419,28 @@ def check_window_config(
     bucket_width = float(bucket_width)
     if not bucket_width > 0:
         raise ValueError("bucket_width must be positive")
-    buckets = window_span / bucket_width
-    num_buckets = round(buckets)
-    if num_buckets < 1 or abs(buckets - num_buckets) > 1e-9:
+    return window_span, bucket_width, _whole_buckets(
+        "window_span", window_span, bucket_width
+    )
+
+
+def window_buckets(window: float, window_span: float, bucket_width: float) -> int:
+    """Validate a query window against a (span, width) configuration;
+    returns its width in buckets."""
+    window = float(window)
+    if not window > 0:
+        raise ValueError("window must be positive")
+    if window > window_span + 1e-9:
+        raise ValueError(f"window {window} exceeds the span {window_span}")
+    return _whole_buckets("window", window, bucket_width)
+
+
+def _whole_buckets(name: str, length: float, bucket_width: float) -> int:
+    buckets = length / bucket_width
+    rounded = round(buckets)
+    if rounded < 1 or abs(buckets - rounded) > 1e-9:
         raise ValueError(
-            f"window_span {window_span} is not a whole number of bucket "
-            f"widths ({bucket_width})"
+            f"{name} {length} is not a whole number of bucket widths "
+            f"({bucket_width})"
         )
-    return window_span, bucket_width, num_buckets
+    return rounded

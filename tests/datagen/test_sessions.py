@@ -81,7 +81,7 @@ class TestSessionTrace:
         from repro.core.family import SketchSpec
         from repro.core.sketch import SketchShape
         from repro.streams.engine import StreamEngine
-        from repro.streams.windows import SlidingWindowDriver
+        from tests.streams.window_driver import SlidingWindowDriver
 
         rng = np.random.default_rng(12)
         events = session_trace(

@@ -29,9 +29,9 @@ from repro.streams.engine import StreamEngine
 from repro.streams.net.coordinator import CoordinatorServer
 from repro.streams.net.site import SiteClient
 from repro.streams.updates import Update
-from repro.streams.windows import SlidingWindowDriver
 
 from tests.streams.net.faults import FaultyTransport
+from tests.streams.window_driver import SlidingWindowDriver
 
 SHAPE = SketchShape(domain_bits=14, num_second_level=8, independence=4)
 SPEC = SketchSpec(num_sketches=16, shape=SHAPE, seed=41)

@@ -430,3 +430,72 @@ class TestEngineBackedFoldFreshness:
         after = coordinator.query_union(["A"], 0.2, window=10.0).value
         assert after == 0.0
         assert after != before
+
+
+class TestWindowedSiteExports:
+    """A windowed coordinator files a whole export in the one ring bucket
+    of its ``window_at`` stamp, so a site must never cut an export that
+    spans a bucket boundary."""
+
+    def _windowed(self):
+        return StreamEngine(SPEC, window_span=4.0, bucket_width=2.0)
+
+    def test_observation_entering_a_new_bucket_cuts_the_pending_export(self):
+        local = self._windowed()
+        site = StreamSite("s", SPEC, engine=local)
+        root = Coordinator(SPEC, engine=self._windowed())
+        site.observe(Update("A", 5, 1), at=1.9)
+        site.observe(Update("A", 7, 1), at=2.1)  # enters bucket 2
+        site.export()
+        exports = site.exports_after(0)
+        assert [export.window_at for export in exports] == [1.9, 2.1]
+        for export in exports:
+            root.collect(export)
+        merged = root.fold_engine
+        for window in (2.0, 4.0):
+            assert merged.window_family("A", window) == local.window_family(
+                "A", window
+            )
+        assert merged.family("A") == local.family("A")
+
+    def test_untimed_then_timed_observations(self):
+        site = StreamSite("s", SPEC, engine=self._windowed())
+        site.observe(Update("A", 4, 1))
+        site.observe(Update("A", 5, 1), at=1.0)
+        assert site.sequence == 0
+        assert set(site.export().payloads) == {"A"}
+
+    def test_no_cut_when_everything_was_exported(self):
+        site = StreamSite("s", SPEC, engine=self._windowed())
+        site.observe(Update("A", 5, 1), at=1.9)
+        site.export()
+        site.observe(Update("A", 7, 1), at=2.1)
+        site.observe(Update("A", 8, 1), at=3.9)
+        site.export()
+        assert [e.window_at for e in site.exports_after(0)] == [1.9, 3.9]
+
+
+class TestCollectIsAllOrNothing:
+    def test_out_of_range_cell_folds_nothing(self):
+        """A cell outside the counter slab is refused before any stream
+        folds, so a re-shipped copy cannot double-count the others."""
+        from repro.streams.distributed import DeltaPayload
+
+        num_cells = SPEC.counter_cells
+        export = DeltaExport(
+            "s",
+            1,
+            {
+                "A": DeltaPayload.from_cells(np.array([0]), np.array([5]), num_cells),
+                "B": DeltaPayload.from_cells(
+                    np.array([num_cells + 1]), np.array([5]), num_cells
+                ),
+            },
+            "life",
+        )
+        coordinator = Coordinator(SPEC)
+        for _ in range(2):
+            with pytest.raises(IncompatibleSketchesError):
+                coordinator.collect(export)
+        assert coordinator.applied_sequence("s", "life") == 0
+        assert all(family.is_zero() for family in coordinator.families().values())

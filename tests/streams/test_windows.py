@@ -1,23 +1,31 @@
-"""Unit tests for sliding-window deletion drivers."""
+"""Tests of the window rings, against a per-update sliding-window driver."""
 
 from __future__ import annotations
 
+import contextlib
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.family import SketchFamily, SketchSpec
+from repro.core import _kernel
+from repro.core.family import SketchFamily, SketchSpec, sum_families
+from repro.core.plan import HashPlan
 from repro.core.sketch import SketchShape
 from repro.streams.checkpoint import checkpoint_engine, restore_engine
 from repro.streams.engine import StreamEngine
 from repro.streams.exact import ExactStreamStore
 from repro.streams.updates import Update
 from repro.streams.windows import (
-    SlidingWindowDriver,
     WindowRing,
+    bucket_index,
     check_window_config,
+    window_buckets,
 )
+from tests.streams.window_driver import SlidingWindowDriver
 
 SHAPE = SketchShape(domain_bits=20, num_second_level=8, independence=6)
 SPEC = SketchSpec(num_sketches=64, shape=SHAPE, seed=21)
@@ -161,9 +169,8 @@ class TestClockPolicy:
         assert engine.window_family("A") == reference.window_family("A")
 
         ring = WindowRing(SPEC, 10.0, 2.0, clock_policy=policy)
-        for call in (lambda: ring.observe(1, 1, at), lambda: ring.advance_to(at)):
-            with pytest.raises(ValueError, match="finite"):
-                call()
+        with pytest.raises(ValueError, match="finite"):
+            ring.advance_to(at)
         assert ring.clock == float("-inf")
         driver = SlidingWindowDriver(10.0, ExactStreamStore(), clock_policy=policy)
         with pytest.raises(ValueError, match="finite"):
@@ -348,9 +355,8 @@ class TestBatchExpiryPath:
 
 
 def _ring_ingest(ring: WindowRing, elements, at: float) -> None:
-    for element in elements:
-        ring.observe(element, 1, at)
-    ring.flush()
+    ring.advance_to(at)
+    ring.ingest(list(elements), [1] * len(elements))
 
 
 class TestWindowRing:
@@ -426,14 +432,13 @@ class TestWindowRing:
         assert ring.subwindow_rebuilds == rebuilds + 1
 
     def test_check_window_rejects_bad_requests(self):
-        ring = WindowRing(SPEC, 10.0, 2.0)
         with pytest.raises(ValueError):
-            ring.check_window(0.0)
+            window_buckets(0.0, 10.0, 2.0)
         with pytest.raises(ValueError):
-            ring.check_window(3.0)  # not a multiple of the bucket width
+            window_buckets(3.0, 10.0, 2.0)  # not a multiple of the width
         with pytest.raises(ValueError):
-            ring.check_window(12.0)  # wider than the span
-        assert ring.check_window(6.0) == 3
+            window_buckets(12.0, 10.0, 2.0)  # wider than the span
+        assert window_buckets(6.0, 10.0, 2.0) == 3
 
     def test_merge_at_routes_into_covering_bucket(self):
         ring = WindowRing(SPEC, 10.0, 2.0)
@@ -495,6 +500,7 @@ class TestWindowRing:
 
 SPAN = 12.0
 WIDTH = 3.0
+SPAN_BUCKETS = 4
 EXPR = "(A & B) - C"
 
 
@@ -728,3 +734,263 @@ class TestEngineWindowing:
         engine.advance_to(24.0)
         engine.query("A & B", 0.2, window=SPAN)
         assert engine.query_stats().recomputes == base.recomputes + 1
+
+
+# ---------------------------------------------------------------------------
+# one scatter per batch: open bucket, closed sums, memoised reads
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _kernel_path(path):
+    """Run the body on the compiled kernel or on its numpy oracle."""
+    saved = _kernel.LIB
+    if path == "oracle":
+        _kernel.LIB = None
+    try:
+        yield
+    finally:
+        _kernel.LIB = saved
+
+
+def _built(elements_counts) -> SketchFamily:
+    """A family fed ``(element, count)`` pairs directly."""
+    family = SketchFamily(SPEC)
+    pairs = list(elements_counts)
+    if pairs:
+        family.ingest_batch([e for e, _ in pairs], [c for _, c in pairs])
+    return family
+
+
+def _expected_window(seen, clock, buckets):
+    """The sum of the updates (``seen`` holds ``(update, stamp)``) in the
+    newest ``buckets`` buckets at ``clock`` — or, for the full span, in
+    every bucket not yet fully expired, which between boundaries is one
+    more."""
+    newest = bucket_index(clock, WIDTH)
+    oldest = newest - buckets + 1
+    if buckets == SPAN_BUCKETS:
+        oldest = math.floor(clock / WIDTH) - SPAN_BUCKETS + 1
+    return _built(
+        (update.element, update.delta)
+        for update, at in seen
+        if oldest <= bucket_index(at, WIDTH) <= newest
+    )
+
+
+class TestOneScatterRing:
+    @pytest.mark.parametrize("path", ["kernel", "oracle"])
+    def test_every_instant_matches_the_bucket_sums(self, path):
+        """Not only at boundaries: after every update the window is the
+        sum of the live buckets, each sub-window the sum of its newest
+        buckets, and the all-time synopsis a flat engine's."""
+        with _kernel_path(path):
+            windowed = StreamEngine(SPEC, window_span=SPAN, bucket_width=WIDTH)
+            flat = StreamEngine(SPEC)
+            ring = WindowRing(SPEC, SPAN, WIDTH)
+            seen = {name: [] for name in "ABC"}
+            for step, (update, at) in enumerate(
+                _random_feed(random.Random(104), steps=150)
+            ):
+                windowed.observe(update, at)
+                flat.process(update)
+                seen[update.stream].append((update, at))
+                if update.stream == "A":
+                    ring.advance_to(at)
+                    ring.ingest([update.element], [update.delta])
+                if step % 3:
+                    continue
+                clock = windowed.window_clock
+                for name in "ABC":
+                    for buckets in range(1, SPAN_BUCKETS + 1):
+                        assert windowed.window_family(
+                            name, buckets * WIDTH
+                        ) == _expected_window(seen[name], clock, buckets)
+                    assert windowed.family(name) == flat.family(name)
+                live = [ring.bucket(index) for index in ring.live_buckets()]
+                expected = sum_families(live) if live else SketchFamily(SPEC)
+                assert ring.family() == expected
+
+    def test_cell_folds_into_open_closed_and_expired_buckets(self, monkeypatch):
+        engine = StreamEngine(SPEC, window_span=SPAN, bucket_width=WIDTH)
+        for element, at in ((1, 1.0), (2, 4.0), (3, 7.0)):  # buckets 1, 2, 3
+            engine.observe(Update("A", element, 1), at)
+        engine.flush()
+        adds = []
+        original = SketchFamily.add_cells
+        monkeypatch.setattr(
+            SketchFamily,
+            "add_cells",
+            lambda family, *cells: adds.append(1) or original(family, *cells),
+        )
+        engine.merge_cells("A", *_built([(10, 1)]).nonzero_cells(), at=7.5)
+        assert len(adds) == 1  # the open bucket only
+        engine.merge_cells("A", *_built([(11, 1)]).nonzero_cells(), at=2.0)
+        # bucket 1 is closed but live: window and all-time both see it
+        assert engine.window_family("A") == _built(
+            [(1, 1), (2, 1), (3, 1), (10, 1), (11, 1)]
+        )
+        engine.advance_to(16.0)  # bucket 1 expires at (1 + 4) * 3 = 15
+        engine.merge_cells("A", *_built([(12, 1)]).nonzero_cells(), at=2.5)
+        assert engine.window_family("A") == _built([(2, 1), (3, 1), (10, 1)])
+        assert engine.window_family("A", WIDTH) == SketchFamily(SPEC)
+        assert engine.family("A") == _built(
+            [(element, 1) for element in (1, 2, 3, 10, 11, 12)]
+        )
+
+    def test_folds_keep_read_views_current(self):
+        """Views read before a fold take the fold's cells in place: every
+        read after it equals what an engine that never read before gives."""
+        folds = [(10, 7.5), (11, 2.0), (12, 8.0), (13, 16.0), (14, 2.5)]
+
+        def fed(folded):
+            engine = StreamEngine(SPEC, window_span=SPAN, bucket_width=WIDTH)
+            for element, at in ((1, 1.0), (2, 4.0), (3, 7.0)):
+                engine.observe(Update("A", element, 1), at)
+            for element, at in folded:
+                engine.merge_cells("A", *_built([(element, 1)]).nonzero_cells(), at=at)
+            return engine
+
+        def views(engine):
+            return [engine.family("A")] + [
+                engine.window_family("A", buckets * WIDTH)
+                for buckets in range(1, SPAN_BUCKETS + 1)
+            ]
+
+        reading = fed([])
+        for count, (element, at) in enumerate(folds, start=1):
+            before = views(reading)
+            reading.merge_cells("A", *_built([(element, 1)]).nonzero_cells(), at=at)
+            after = views(reading)
+            assert after == views(fed(folds[:count]))
+            assert all(a is b for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("path", ["kernel", "oracle"])
+    def test_checkpoint_mid_bucket_continues_bit_identically(self, path, tmp_path):
+        with _kernel_path(path):
+            feed = _random_feed(random.Random(105), steps=160)
+            cut = 61  # mid-bucket: stamps run in 0.4 steps, buckets are 3 wide
+            assert bucket_index(feed[cut - 1][1], WIDTH) == bucket_index(
+                feed[cut][1], WIDTH
+            )
+            original = StreamEngine(SPEC, window_span=SPAN, bucket_width=WIDTH)
+            for update, at in feed[:cut]:
+                original.observe(update, at)
+            checkpoint_engine(original, tmp_path)
+            restored = restore_engine(tmp_path)
+            for step, (update, at) in enumerate(feed[cut:]):
+                original.observe(update, at)
+                restored.observe(update, at)
+                if step % 7:
+                    continue
+                for name in "ABC":
+                    assert restored.family(name) == original.family(name)
+                    for buckets in (1, 2, SPAN_BUCKETS):
+                        window = buckets * WIDTH
+                        assert restored.window_family(
+                            name, window
+                        ) == original.window_family(name, window)
+
+    def test_one_flushed_batch_is_one_scatter(self, monkeypatch):
+        calls = []
+        original = HashPlan.hash_scatter
+        monkeypatch.setattr(
+            HashPlan,
+            "hash_scatter",
+            lambda plan, *args: calls.append(1) or original(plan, *args),
+        )
+        engine = StreamEngine(SPEC, window_span=SPAN, bucket_width=WIDTH)
+        for element in range(50):
+            engine.observe(Update("A", element, 1), at=1.0 + element / 100)
+        engine.flush()
+        assert len(calls) == 1
+        engine.family("A")
+        engine.window_family("A")
+        assert len(calls) == 1  # reads sum, they never re-scatter
+
+    @pytest.mark.parametrize("path", ["kernel", "oracle"])
+    @pytest.mark.parametrize("clock_policy", ["raise", "clamp"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from("AB"),
+                st.integers(0, 60),
+                st.sampled_from([1, 1, 2, -1]),
+                st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.5, -1.0]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_traces_match_the_driver_and_a_flat_engine(
+        self, path, clock_policy, steps
+    ):
+        """Any trace, either clock policy: at every boundary the window
+        matches a driver-fed flat engine, and at every instant the
+        all-time synopsis matches a plain engine."""
+        with _kernel_path(path):
+            windowed = StreamEngine(
+                SPEC, window_span=SPAN, bucket_width=WIDTH, clock_policy=clock_policy
+            )
+            flat, alltime = StreamEngine(SPEC), StreamEngine(SPEC)
+            driver = SlidingWindowDriver(SPAN, flat, clock_policy=clock_policy)
+            for stream, element, delta, step in steps:
+                clock = windowed.window_clock
+                if clock == float("-inf"):
+                    clock = 0.0
+                elif step < 0 and clock_policy == "raise":
+                    step = 0.0  # a regression is an error under "raise"
+                at = clock + step
+                # Every boundary passed before ``at``: all its updates are in.
+                first = math.floor(clock / WIDTH) + 1
+                for boundary in range(first, math.ceil(at / WIDTH)):
+                    windowed.advance_to(boundary * WIDTH)
+                    driver.advance_to(boundary * WIDTH)
+                    for name in "AB":
+                        assert windowed.window_family(name) == flat.family(name)
+                update = Update(stream, element, delta)
+                windowed.observe(update, at)
+                driver.observe(update, at=at)
+                alltime.process(update)
+                for name in "AB":
+                    assert windowed.family(name) == alltime.family(name)
+
+
+class TestRollingWindowAcceptance:
+    """A window that genuinely rolls: three streams, a four-bucket ring,
+    windowed queries every tick, and the ring bit-identical to a
+    driver-fed flat engine at every bucket boundary."""
+
+    def test_rolling_window(self):
+        width, buckets, ticks, per_tick = 4.0, 4, 28, 200
+        span = width * buckets
+        expressions = ("A & B", "(A & B) - C", "(A - B) | (B - C)")
+        ring = StreamEngine(SPEC, window_span=span, bucket_width=width)
+        flat = StreamEngine(SPEC)
+        driver = SlidingWindowDriver(span, flat)
+        rng = np.random.default_rng(9)
+        boundaries = 0
+        for tick in range(1, ticks + 1):
+            now = float(tick)
+            batch = [
+                Update("ABC"[index % 3], int(element), 1)
+                for index, element in enumerate(
+                    rng.integers(0, 2**20, size=per_tick)
+                )
+            ]
+            ring.observe_many((update, now) for update in batch)
+            driver.observe_many((update, now) for update in batch)
+            ring.advance_to(now)
+            driver.advance_to(now)
+            windowed = [ring.query(text, 0.15, window=span) for text in expressions]
+            if now % width:
+                continue
+            boundaries += 1
+            for name in "ABC":
+                assert ring.window_family(name) == flat.family(name)
+            for ours, text in zip(windowed, expressions):
+                assert ours.value == flat.query(text, 0.15).value
+        stats = ring.window_stats()
+        assert boundaries == ticks // width
+        assert stats.rotations >= boundaries - 1
+        assert stats.buckets_expired >= (ticks // width - buckets) * 3
