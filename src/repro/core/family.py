@@ -266,10 +266,15 @@ class SketchFamily:
     # -- maintenance ------------------------------------------------------
 
     def update(self, element: int, count: int = 1) -> None:
-        """Apply one update ``<element, +/-count>`` to every member."""
-        for index in range(self.spec.num_sketches):
-            self.sketch(index).update(element, count)
-        self._mark_all_dirty()
+        """Apply one update ``<element, +/-count>`` to every member: one
+        :meth:`update_batch` of a single element, bit-identical to
+        updating each member sketch in turn."""
+        domain_size = self.spec.shape.domain_size
+        if not 0 <= element < domain_size:
+            raise DomainError(
+                f"element {element} outside domain [0, {domain_size})"
+            )
+        self.update_batch([element], [count])
 
     def update_batch(self, elements, counts=None, *, plan: HashPlan | str = "auto") -> None:
         """Vectorised maintenance of all members over a batch of updates.

@@ -5,13 +5,15 @@ replayed to rebuild the synopses.  A checkpoint writes the engine's whole
 state — the sketch spec (the coins) and every stream's counter array — to
 a directory that :func:`restore_engine` turns back into a live engine.
 
-Layout (format version 3)::
+Layout (format version 4)::
 
     <checkpoint>/
         manifest.json                    # version, generation, spec,
-                                         # stream-name -> file map, extra
-        streams/<escaped>.<gen>.sketch   # counter payload (to_bytes)
-        uplink/<incarnation>-<seq>.cells # retained uplink exports
+                                         # base stream-name -> file map,
+                                         # log entries, extra
+        streams/<escaped>.<gen>.sketch   # dense base payload (to_bytes)
+        uplink/<incarnation>-<seq>.cells # cell files: log entries and
+                                         # retained uplink exports
                                          # (network coordinator leaves)
 
 Stream names are user data and may contain anything (``/``, ``..``,
@@ -19,30 +21,39 @@ Stream names are user data and may contain anything (``/``, ``..``,
 used as file names directly: each name is percent-escaped into a safe
 file stem and the manifest records the exact ``name -> file`` mapping.
 
-**Publishing is atomic.**  Every checkpoint is a new *generation*:
-payload files carry the generation in their name, so a checkpoint never
-overwrites a file the current manifest names.  The payloads are written
-and fsynced first; then the manifest is written to a temporary file,
-fsynced, and moved over ``manifest.json`` with ``os.replace``, and the
-directory is fsynced.  Only after that are files the new manifest does
-not name deleted.  A crash at any point therefore leaves either the old
-checkpoint or the new one — never new counters under an old manifest's
-metadata (for the network coordinator, its per-site sequence map).
+**A generation is a dense base plus a cell log.**  The synopses are
+linear, so a generation may keep the previous *base* (the dense payloads
+:func:`checkpoint_engine` last wrote) and add one *log entry*
+(:func:`append_checkpoint_log`): a sparse cells file already on disk,
+the streams it covers and the window instant it folds at.  Restore is
+the base plus every entry in generation order through
+:meth:`~repro.streams.engine.StreamEngine.merge_cells`, exact because
+int64 wrapping addition is a group.  A new base is written once the
+log's bytes would exceed the base's, which empties the log.  Network
+coordinator leaves log their uplink cuts' files.
+
+**Publishing is atomic.**  Every generation is new: base payload files
+carry the generation in their name and log files are written before a
+manifest names them, so a checkpoint never overwrites a file the current
+manifest names.  The payloads are written and fsynced first; then the
+manifest is written to a temporary file, fsynced, and moved over
+``manifest.json`` with ``os.replace``, and the directory is fsynced.
+Only after that are files the new manifest does not name deleted.  A
+crash at any point therefore leaves either the old checkpoint or the new
+one — never new counters under an old manifest's metadata (for the
+network coordinator, its per-site sequence map).
 
 Immutable side files (``uplink/``) are added through
 :func:`write_checkpoint_files` before the manifest that names them is
 published, read back with :func:`read_checkpoint_file`, and dropped with
-:func:`prune_checkpoint_files` once a published manifest no longer needs
-them.  The network coordinator keeps each retained uplink export there
-as one sparse-cell file (:func:`~repro.streams.net.codec.
-encode_cell_sets`), written once however many checkpoints it stays
-retained for.
+:func:`prune_checkpoint_files` once neither the caller nor the
+published manifest's log needs them.  The network coordinator keeps
+each retained uplink export there as one sparse-cell file, written once
+however many generations it stays retained or logged for.
 
-Format-1 (raw names, no mapping) and format-2 (in-place writes)
-checkpoints are still restorable through the manifest's file map.
-
-Checkpoints of the removed sharded engine (a manifest with a ``shards``
-key) are refused with a :class:`CheckpointError` naming that layout.
+Formats 3 (a base with no log) and 4 are readable; older formats and
+checkpoints of the removed sharded engine (a manifest with a ``shards``
+key) are refused with a :class:`CheckpointError` naming them.
 
 The counters are the only state; hash functions regenerate from the spec
 seed, so checkpoints are small and portable across machines.
@@ -51,6 +62,7 @@ seed, so checkpoints are small and portable across machines.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from typing import Iterable, Mapping
@@ -62,6 +74,7 @@ from repro.streams.engine import StreamEngine
 
 __all__ = [
     "checkpoint_engine",
+    "append_checkpoint_log",
     "restore_engine",
     "read_checkpoint_extra",
     "read_checkpoint_spec",
@@ -71,8 +84,8 @@ __all__ = [
     "CheckpointError",
 ]
 
-_FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, _FORMAT_VERSION)
+_FORMAT_VERSION = 4
+_READABLE_VERSIONS = (3, _FORMAT_VERSION)
 _MANIFEST = "manifest.json"
 _STAGED_MANIFEST = "manifest.json.tmp"
 _STREAMS_DIR = "streams"
@@ -130,15 +143,6 @@ def _remove_unnamed(folder: pathlib.Path, keep: set[str]) -> None:
             os.unlink(path)
 
 
-def _previous_generation(directory: pathlib.Path) -> int:
-    """The published manifest's generation (0 if there is none yet)."""
-    try:
-        manifest = json.loads((directory / _MANIFEST).read_text())
-        return int(manifest.get("generation", 0))
-    except (OSError, ValueError, TypeError, AttributeError):
-        return 0
-
-
 def _write_stream_payloads(
     streams_dir: pathlib.Path, named_payloads, generation: int
 ) -> dict[str, str]:
@@ -159,33 +163,22 @@ def _write_stream_payloads(
     return files
 
 
-def _publish(directory, manifest: dict, named_payloads) -> None:
-    """Write one checkpoint generation and make it the current one.
-
-    The single writer behind every layout (flat and windowed):
-    payloads first, each fsynced under a name unique to the new
-    generation; then the manifest through a fsynced temporary file and
-    ``os.replace``; then a directory fsync.  Files the new manifest no
-    longer names are deleted only after that, so a crash at any step
-    leaves a complete checkpoint — the old generation or the new one.
-    """
-    directory = pathlib.Path(directory)
-    streams_dir = directory / _STREAMS_DIR
-    streams_dir.mkdir(parents=True, exist_ok=True)
-    generation = _previous_generation(directory) + 1
-    files = _write_stream_payloads(streams_dir, named_payloads, generation)
-    _sync_dir(streams_dir)
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "generation": generation,
-        **manifest,
-        "stream_files": files,
-    }
+def _publish(directory: pathlib.Path, manifest: dict) -> None:
+    """Make ``manifest`` the current generation: a fsynced temporary
+    file moved over ``manifest.json`` with ``os.replace``, then a
+    directory fsync.  Every file it names must already be durable."""
     staged = directory / _STAGED_MANIFEST
     _write_synced(staged, json.dumps(manifest).encode())
     os.replace(staged, directory / _MANIFEST)
     _sync_dir(directory)
-    _remove_unnamed(streams_dir, set(files.values()))
+
+
+def _published(directory: pathlib.Path) -> dict | None:
+    """The published manifest, or None when there is none usable."""
+    try:
+        return _load_manifest(directory)
+    except CheckpointError:
+        return None
 
 
 def _plain_name(part: str) -> str:
@@ -230,10 +223,20 @@ def prune_checkpoint_files(
 ) -> None:
     """Delete the side files under ``<directory>/<folder>/`` not in ``keep``.
 
-    Call only *after* the manifest that names exactly ``keep`` has been
-    published; leftovers of a crashed checkpoint go the same way.
+    Call only *after* the manifest that needs ``keep`` has been
+    published; leftovers of a crashed checkpoint go the same way.  The
+    files the published manifest's log names are kept too, whatever
+    ``keep`` says.
     """
-    _remove_unnamed(pathlib.Path(directory) / _plain_name(folder), set(keep))
+    directory = pathlib.Path(directory)
+    keep = set(keep)
+    manifest = _published(directory)
+    if manifest is not None:
+        keep.update(
+            name for entry_folder, name, _, _ in _manifest_log(manifest)
+            if entry_folder == folder
+        )
+    _remove_unnamed(directory / _plain_name(folder), keep)
 
 
 def checkpoint_engine(
@@ -242,7 +245,8 @@ def checkpoint_engine(
     extra: dict | None = None,
 ) -> None:
     """Write the engine's flushed state into ``directory`` (created if
-    needed) as a new checkpoint generation, published atomically.
+    needed) as a new base generation with an empty log, published
+    atomically.
 
     Payloads go to generation-named files and the manifest replaces the
     previous one in a single ``os.replace``; the previous generation's
@@ -276,14 +280,85 @@ def checkpoint_engine(
         named_payloads.extend(
             (_window_key(key), payload) for key, payload in bucket_payloads
         )
+    directory = pathlib.Path(directory)
+    streams_dir = directory / _STREAMS_DIR
+    streams_dir.mkdir(parents=True, exist_ok=True)
+    previous = _published(directory)
+    generation = 1 + (previous["generation"] if previous else 0)
+    files = _write_stream_payloads(streams_dir, named_payloads, generation)
+    _sync_dir(streams_dir)
     manifest = {
+        "format_version": _FORMAT_VERSION,
+        "generation": generation,
         "spec": engine.spec.to_json_dict(),
         "streams": stream_names,
         "updates_processed": engine.updates_processed,
+        "stream_files": files,
+        "base_bytes": sum(len(payload) for _, payload in named_payloads),
+        "log": [],
     }
     if extra:
         manifest["extra"] = extra
-    _publish(directory, manifest, named_payloads)
+    _publish(directory, manifest)
+    _remove_unnamed(streams_dir, set(files.values()))
+
+
+def append_checkpoint_log(
+    engine: StreamEngine,
+    directory: str | pathlib.Path,
+    folder: str,
+    name: str,
+    streams: list[str],
+    window_at: float | None = None,
+    extra: dict | None = None,
+) -> bool:
+    """Publish the previous generation's base and log plus one entry:
+    the cells file ``<folder>/<name>`` (:func:`write_checkpoint_files`,
+    one :func:`~repro.streams.net.codec.encode_cell_sets` cell set per
+    name in ``streams``), folded at ``window_at`` on restore.
+
+    The caller guarantees that the previous generation plus the entry is
+    ``engine``'s state: the file holds exactly the cells folded since,
+    each at an instant in ``window_at``'s bucket and not after it.
+    ``extra`` is stored as by :func:`checkpoint_engine` (the base's
+    window section rides along).  Returns ``False``, publishing nothing,
+    when there is no generation to extend or the log's bytes would
+    exceed the base's; the caller then writes a base instead.
+    """
+    directory = pathlib.Path(directory)
+    previous = _published(directory)
+    if previous is None or "base_bytes" not in previous:  # format 3
+        return False
+    log = previous["log"]
+    entry_bytes = (
+        directory / _plain_name(folder) / _plain_name(name)
+    ).stat().st_size
+    log_bytes = sum(entry.get("bytes", 0) for entry in log) + entry_bytes
+    if log_bytes > previous["base_bytes"]:
+        return False
+    manifest = {
+        **previous,
+        "generation": previous["generation"] + 1,
+        "updates_processed": engine.updates_processed,
+        "log": log
+        + [
+            {
+                "file": f"{folder}/{name}",
+                "streams": list(streams),
+                "window_at": window_at,
+                "bytes": entry_bytes,
+            }
+        ],
+    }
+    extra = dict(extra) if extra else {}
+    windows = _window_meta(previous)
+    if windows is not None:
+        extra["windows"] = windows
+    manifest.pop("extra", None)
+    if extra:
+        manifest["extra"] = extra
+    _publish(directory, manifest)
+    return True
 
 
 def read_checkpoint_extra(directory: str | pathlib.Path) -> dict:
@@ -345,23 +420,62 @@ def _load_manifest(directory: pathlib.Path) -> dict:
     version = manifest.get("format_version")
     if version not in _READABLE_VERSIONS:
         raise CheckpointError(
-            f"checkpoint format {version!r} not supported (expected "
-            f"{_FORMAT_VERSION})"
+            f"checkpoint format {version!r} not supported (this build "
+            f"reads formats {_READABLE_VERSIONS[0]} and {_FORMAT_VERSION})"
         )
     return manifest
 
 
 def _stream_file(manifest: dict, name: str) -> str:
-    """The payload file for ``name`` (mapping in v2, raw name in v1)."""
+    """The base payload file for ``name``."""
     files = manifest.get("stream_files")
-    if files is not None:
+    if not isinstance(files, dict) or name not in files:
+        raise CheckpointError(f"manifest has no payload file for stream {name!r}")
+    return files[name]
+
+
+def _manifest_log(manifest: dict) -> list[tuple[str, str, list[str], float | None]]:
+    """The ``(folder, file, streams, window_at)`` log entries, validated."""
+    log = manifest.get("log", [])
+    if not isinstance(log, list):
+        raise CheckpointError(f"manifest 'log' is not a list: {log!r}")
+    entries = []
+    for entry in log:
         try:
-            return files[name]
-        except KeyError:
+            folder, name = entry["file"].split("/")
+            streams, window_at = entry["streams"], entry.get("window_at")
+        except (TypeError, KeyError, ValueError, AttributeError):
+            streams = None
+        if not (
+            isinstance(streams, list)
+            and all(isinstance(stream, str) for stream in streams)
+            and (
+                window_at is None
+                or (_is_number(window_at) and math.isfinite(window_at))
+            )
+        ):
+            raise CheckpointError(f"manifest has an unusable log entry {entry!r}")
+        entries.append((_plain_name(folder), _plain_name(name), streams, window_at))
+    return entries
+
+
+def _replay_log(engine: StreamEngine, directory: pathlib.Path, manifest: dict) -> None:
+    """Fold every log entry onto the restored base, in generation order."""
+    # Deferred: the cells-file codec lives in the network layer, which
+    # imports this module.
+    from repro.streams.net import codec
+
+    num_cells = engine.spec.counter_cells
+    for folder, name, streams, window_at in _manifest_log(manifest):
+        blob = read_checkpoint_file(directory, folder, name)
+        try:
+            cell_sets = codec.decode_cell_sets(blob, len(streams), num_cells)
+        except codec.CodecError as exc:
             raise CheckpointError(
-                f"manifest has no payload file for stream {name!r}"
-            ) from None
-    return f"{name}.sketch"  # format v1: raw names on disk
+                f"log entry {folder}/{name} is corrupt: {exc}"
+            ) from exc
+        for stream, (indices, values) in zip(streams, cell_sets):
+            engine.merge_cells(stream, indices, values, at=window_at)
 
 
 def _read_family(
@@ -422,10 +536,12 @@ def restore_engine(
 ) -> StreamEngine:
     """Rebuild a live engine from a checkpoint directory.
 
-    Accepts checkpoints of format 1, 2 or 3.  A malformed manifest — a
+    Accepts checkpoints of format 3 or 4: the base, then every log entry
+    folded onto it in generation order.  A malformed manifest — a
     missing or unusable ``spec``, a ``streams`` entry that is not a list
     of names, a non-integer ``updates_processed``, an ill-typed
-    ``extra["windows"]`` section, or the removed sharded layout — raises
+    ``extra["windows"]`` section or log entry, or the removed sharded
+    layout — and a missing or corrupt log file raise
     :class:`CheckpointError`.
 
     A checkpoint written by a windowed engine restores as a windowed
@@ -477,5 +593,6 @@ def restore_engine(
                     )
             buckets_by_stream[stream] = decoded
         engine.restore_window_state(windows, buckets_by_stream)
+    _replay_log(engine, directory, manifest)
     engine.mark_replayed(updates_processed)
     return engine

@@ -44,8 +44,13 @@ Two extensions make servers composable into **federation trees**
   forwarded in the blob it arrived in), so the uplink keeps no
   baseline copy of the state.  Each retained uplink
   export is written once, as one sparse-cell file under ``uplink/`` in
-  the checkpoint directory, and deleted by the first checkpoint after
-  the parent durably acknowledged it.
+  the checkpoint directory.  Because every cut is made inside a
+  checkpoint, a cut holds exactly the cells folded since the previous
+  generation, so its file doubles as that generation's log entry
+  (:func:`~repro.streams.checkpoint.append_checkpoint_log`): a leaf's
+  checkpoint writes only that file and the manifest, and a dense base
+  only when the log outgrows it.  A file is deleted once the parent
+  durably acknowledged its export and a newer base covers it.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from urllib.parse import quote
 from repro.core.family import SketchSpec
 from repro.streams.checkpoint import (
     CheckpointError,
+    append_checkpoint_log,
     checkpoint_engine,
     prune_checkpoint_files,
     read_checkpoint_extra,
@@ -312,8 +318,13 @@ class CoordinatorServer:
         self._uplink_lock = asyncio.Lock()
         self._uplink_tasks: set[asyncio.Task] = set()
         # Newest window_at stamp among the deltas folded since the last
-        # uplink cut (None: none folded, or an unwindowed fold target).
+        # uplink cut (None: none folded, or an unwindowed fold target),
+        # and whether an unstamped delta was folded since then.
         self._uncut_window_at: float | None = None
+        self._uncut_unstamped = False
+        # Whether the published checkpoint plus the next uplink cut is
+        # the fold state, so the next generation may be a log entry.
+        self._log_continues = False
         if parent_port is not None:
             site = uplink_site
             if site is None:
@@ -407,7 +418,8 @@ class CoordinatorServer:
             coordinator.set_applied_sequence(site_id, incarnation, sequence)
         uplink_state = extra.get(_UPLINK_KEY)
         uplink_files: set[str] = set()
-        if uplink_state and kwargs.get("parent_port") is not None:
+        restored_uplink = bool(uplink_state) and kwargs.get("parent_port") is not None
+        if restored_uplink:
             kwargs = dict(kwargs)
             site = _restore_uplink_site(
                 checkpoint_dir, uplink_state, coordinator
@@ -422,6 +434,9 @@ class CoordinatorServer:
             coordinator=coordinator, checkpoint_dir=checkpoint_dir, **kwargs
         )
         server._uplink_files = uplink_files
+        # A restored uplink starts with nothing pending, so the restored
+        # generation plus its next cut is the fold state.
+        server._log_continues = restored_uplink
         # Everything the checkpoint restored is durable by definition.
         server._durable = coordinator.site_sequences()
         return server
@@ -554,18 +569,35 @@ class CoordinatorServer:
         the uplink had already cut.
 
         Retained exports not yet on disk are written to ``uplink/``
-        before the manifest is published; files of exports the parent
-        has since acknowledged are deleted after it.  Durable acks
-        advance only once the new manifest is in place.
+        before the manifest is published.  The cut holds everything
+        folded since the previous generation, so its file is this
+        generation's log entry; a dense base is written instead when
+        there is no generation of this state to extend, when the log
+        would outgrow the base, or when a windowed cut mixes stamped and
+        unstamped deltas.  Files neither an unacked export nor the log
+        needs are deleted after the manifest.  Durable acks advance only
+        once the new manifest is in place.
         """
         if self._checkpoint_dir is None:
             raise ValueError("no checkpoint_dir configured")
         extra: dict = {_SITE_SEQUENCES_KEY: self.coordinator.site_sequences()}
+        engine = self.coordinator.fold_engine
         retained: set[str] = set()
+        # Should this checkpoint fail, the next one must write a base.
+        log_continues, self._log_continues = self._log_continues, False
         if self._uplink is not None:
             uplink_site = self._uplink.site
-            uplink_site.export(window_at=self._uncut_window_at)
+            cut = uplink_site.export(window_at=self._uncut_window_at)
+            # Where the cut's cells folded: at its stamp, but not past the
+            # clock (a stamped empty delta does not move it).
+            at = self._uncut_window_at
+            if at is not None and engine.is_windowed:
+                log_continues = log_continues and not self._uncut_unstamped
+                at = min(at, engine.window_clock)
+                if at == float("-inf"):  # no stamped cells folded yet
+                    at = None
             self._uncut_window_at = None
+            self._uncut_unstamped = False
             extra[_UPLINK_KEY] = uplink_site.to_state()
             unwritten = {}
             num_cells = self.coordinator.spec.counter_cells
@@ -582,11 +614,20 @@ class CoordinatorServer:
                     )
             write_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, unwritten)
             self._uplink_files.update(unwritten)
-        checkpoint_engine(
-            self.coordinator.fold_engine, self._checkpoint_dir, extra=extra
-        )
+            log_continues = log_continues and append_checkpoint_log(
+                engine,
+                self._checkpoint_dir,
+                _UPLINK_DIR,
+                _retained_file(uplink_site.incarnation, cut.sequence),
+                list(cut.payloads),
+                window_at=at,
+                extra=extra,
+            )
+        if not log_continues:
+            checkpoint_engine(engine, self._checkpoint_dir, extra=extra)
         prune_checkpoint_files(self._checkpoint_dir, _UPLINK_DIR, retained)
         self._uplink_files &= retained
+        self._log_continues = self._uplink is not None
         self._durable = {
             site: dict(history)
             for site, history in extra[_SITE_SEQUENCES_KEY].items()
@@ -877,6 +918,8 @@ class CoordinatorServer:
                 self._uncut_window_at = (
                     export.window_at if uncut is None else max(uncut, export.window_at)
                 )
+            elif self._uplink is not None:
+                self._uncut_unstamped = True
             stats.deltas_applied += export.batch_size
             stats.exports_coalesced += export.batch_size - 1
             stats.payload_bytes_wire += export.payload_bytes()

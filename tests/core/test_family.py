@@ -16,7 +16,7 @@ from repro.core.family import (
     sum_cells,
 )
 from repro.core.sketch import SketchShape
-from repro.errors import IncompatibleSketchesError
+from repro.errors import DomainError, IncompatibleSketchesError
 
 SHAPE = SketchShape(domain_bits=20, num_second_level=8, independence=4)
 
@@ -102,6 +102,34 @@ class TestFamilyMaintenance:
             a.update(element, 1)
         b.update_batch(np.asarray(elements, dtype=np.uint64))
         assert a == b
+
+    @pytest.mark.parametrize("path", ["kernel", "oracle"])
+    def test_scalar_update_is_a_batch_of_one(self, path, monkeypatch):
+        """``update`` equals ``update_batch`` for +/- counts — counters,
+        level totals and per-member sketches — on the compiled kernel and
+        on the numpy oracle."""
+        if path == "oracle":
+            monkeypatch.setattr(_kernel, "LIB", None)
+        rng = np.random.default_rng(31)
+        elements = rng.integers(0, 2**20, size=40, dtype=np.uint64)
+        counts = rng.integers(-3, 4, size=40)
+        scalar, batch = spec(6, seed=4).build(), spec(6, seed=4).build()
+        for element, count in zip(elements.tolist(), counts.tolist()):
+            scalar.update(element, count)
+        batch.update_batch(elements, counts)
+        assert scalar.counters.tobytes() == batch.counters.tobytes()
+        assert np.array_equal(scalar.level_totals(), batch.level_totals())
+        solo = spec(6, seed=4).build().sketch(2)
+        for element, count in zip(elements.tolist(), counts.tolist()):
+            solo.update(element, count)
+        assert scalar.sketch(2) == solo
+
+    @pytest.mark.parametrize("element", [-1, 2**20])
+    def test_scalar_update_refuses_out_of_domain(self, element):
+        family = spec(2).build()
+        with pytest.raises(DomainError, match=f"element {element} outside"):
+            family.update(element, 1)
+        assert family.is_empty()
 
     def test_empty_batch_noop(self):
         family = spec(2).build()

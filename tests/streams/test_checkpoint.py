@@ -12,11 +12,15 @@ from repro.core.sketch import SketchShape
 from repro.errors import IncompatibleSketchesError
 from repro.streams.checkpoint import (
     CheckpointError,
+    append_checkpoint_log,
     checkpoint_engine,
+    prune_checkpoint_files,
     read_checkpoint_extra,
     restore_engine,
+    write_checkpoint_files,
 )
 from repro.streams.engine import StreamEngine
+from repro.streams.net import codec
 from repro.streams.updates import Update, insertions
 
 SHAPE = SketchShape(domain_bits=20, num_second_level=8, independence=6)
@@ -122,6 +126,22 @@ class TestFailureModes:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="99"):
             restore_engine(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_formats_are_refused(self, tmp_path, version):
+        """Formats 1 (raw stream names on disk) and 2 (payloads rewritten
+        in place) have no reader: a manifest of either is refused with
+        an error naming its version, not misread."""
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = version
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"format {version} not"):
+            restore_engine(tmp_path)
+        with pytest.raises(CheckpointError, match=f"format {version} not"):
+            read_checkpoint_extra(tmp_path)
 
     def test_missing_sketch_payload(self, tmp_path):
         engine = loaded_engine()
@@ -337,27 +357,131 @@ class TestStreamNameEscaping:
             assert "/" not in filename and "\x00" not in filename
             assert not filename.startswith(".")
 
-    def test_format_v1_checkpoints_still_restore(self, tmp_path):
-        engine = loaded_engine()
-        directory = tmp_path / "v1"
-        (directory / "streams").mkdir(parents=True)
-        for name in engine.stream_names():
-            payload = engine.family(name).to_bytes()
-            (directory / "streams" / f"{name}.sketch").write_bytes(payload)
-        (directory / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "format_version": 1,
-                    "spec": SPEC.to_json_dict(),
-                    "streams": engine.stream_names(),
-                    "updates_processed": engine.updates_processed,
-                }
-            )
+
+class TestCellLog:
+    """A generation as the previous base plus a log of cells files."""
+
+    def log_delta(self, directory, engine, name, streams, at=None, seed=0):
+        """Fold a random delta into ``engine`` and write it as the cells
+        file ``log/<name>``; return whether it was logged."""
+        rng = np.random.default_rng(seed)
+        cell_sets = []
+        for stream in streams:
+            indices = np.unique(rng.integers(0, SPEC.counter_cells, size=300))
+            values = rng.integers(-(2**40), 2**40, size=indices.size)
+            engine.merge_cells(stream, indices, values, at=at)
+            cell_sets.append((indices, values))
+        blob = codec.encode_cell_sets(cell_sets, SPEC.counter_cells)
+        write_checkpoint_files(directory, "log", {name: blob})
+        return append_checkpoint_log(
+            engine, directory, "log", name, list(streams), window_at=at,
+            extra={"note": name},
         )
-        restored = restore_engine(directory)
-        for name in engine.stream_names():
+
+    def test_restore_is_the_base_plus_the_log(self, tmp_path):
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        base_files = sorted(p.name for p in (tmp_path / "streams").iterdir())
+        assert self.log_delta(tmp_path, engine, "1.cells", ["A"], seed=1)
+        assert self.log_delta(tmp_path, engine, "2.cells", ["B", "C"], seed=2)
+        assert sorted(p.name for p in (tmp_path / "streams").iterdir()) == base_files
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["format_version"] == 4
+        assert [entry["file"] for entry in manifest["log"]] == [
+            "log/1.cells",
+            "log/2.cells",
+        ]
+        assert read_checkpoint_extra(tmp_path) == {"note": "2.cells"}
+        restored = restore_engine(tmp_path)
+        assert restored.stream_names() == engine.stream_names()
+        for name, family in engine.families().items():
+            assert restored.family(name).to_bytes() == family.to_bytes(), name
+
+    def test_windowed_entries_fold_into_their_buckets(self, tmp_path):
+        engine = StreamEngine(SPEC, window_span=8.0, bucket_width=2.0)
+        engine.observe_many((Update("A", element, 1), 0.5) for element in range(50))
+        checkpoint_engine(engine, tmp_path)
+        assert self.log_delta(tmp_path, engine, "1.cells", ["A", "B"], at=1.5, seed=1)
+        assert self.log_delta(tmp_path, engine, "2.cells", ["A"], at=4.0, seed=2)
+        restored = restore_engine(tmp_path)
+        assert restored.window_clock == engine.window_clock == 4.0
+        for name in ("A", "B"):
             assert restored.family(name) == engine.family(name)
-        assert restored.updates_processed == engine.updates_processed
+            for window in (2.0, 4.0, 8.0):
+                assert np.array_equal(
+                    restored.window_family(name, window).counters,
+                    engine.window_family(name, window).counters,
+                ), (name, window)
+
+    def test_a_log_outgrowing_the_base_is_refused(self, tmp_path):
+        """The caller then compacts: a new base empties the log."""
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["base_bytes"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert not self.log_delta(tmp_path, engine, "1.cells", ["A"])
+        assert json.loads(manifest_path.read_text())["log"] == []
+        checkpoint_engine(engine, tmp_path)
+        assert restore_engine(tmp_path).family("A") == engine.family("A")
+
+    def test_nothing_to_extend_is_refused(self, tmp_path):
+        engine = loaded_engine()
+        assert not self.log_delta(tmp_path, engine, "1.cells", ["A"])
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_prune_keeps_what_the_log_names(self, tmp_path):
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        assert self.log_delta(tmp_path, engine, "1.cells", ["A"])
+        write_checkpoint_files(tmp_path, "log", {"orphan.cells": b"x"})
+        prune_checkpoint_files(tmp_path, "log", keep=())
+        assert [p.name for p in (tmp_path / "log").iterdir()] == ["1.cells"]
+        checkpoint_engine(engine, tmp_path)  # compaction empties the log
+        prune_checkpoint_files(tmp_path, "log", keep=())
+        assert list((tmp_path / "log").iterdir()) == []
+
+    def test_missing_or_corrupt_log_file_is_refused(self, tmp_path):
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        assert self.log_delta(tmp_path, engine, "1.cells", ["A"])
+        path = tmp_path / "log" / "1.cells"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match="corrupt"):
+            restore_engine(tmp_path)
+        path.unlink()
+        with pytest.raises(CheckpointError, match="missing"):
+            restore_engine(tmp_path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "log/1.cells",
+            {"file": "../1.cells", "streams": ["A"]},
+            {"file": "1.cells", "streams": ["A"]},
+            {"file": "log/1.cells", "streams": "A"},
+            {"file": "log/1.cells", "streams": ["A"], "window_at": "soon"},
+            {"file": "log/1.cells", "streams": ["A"], "window_at": float("inf")},
+        ],
+        ids=[
+            "not-a-mapping",
+            "file-escapes",
+            "file-not-in-a-folder",
+            "streams-not-a-list",
+            "window-at-ill-typed",
+            "window-at-infinite",
+        ],
+    )
+    def test_malformed_log_entry_is_refused(self, tmp_path, entry):
+        engine = loaded_engine()
+        checkpoint_engine(engine, tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["log"] = [entry]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError):
+            restore_engine(tmp_path)
 
 
 class TestAdoptFamily:

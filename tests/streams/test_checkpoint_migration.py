@@ -1,13 +1,9 @@
-"""Checkpoint manifest migration and extra-metadata round-trips.
+"""Checkpoint spec reads, extra-metadata round-trips and leaf uplink state.
 
-A version-1 checkpoint (raw stream-name files, no ``stream_files``
-mapping, no ``extra``) must restore into every modern consumer — a flat
-engine, a :class:`~repro.streams.net.coordinator.CoordinatorServer`,
-and a factory-built :class:`~repro.streams.engine.StreamEngine` fold
-target — and re-checkpointing then *migrates* it to the current format.
 The ``extra`` mapping (per-site sequence map, uplink state) must ride
 unchanged through the checkpoint writer and through an engine-backed
-leaf of a federation tree.
+leaf of a federation tree; uplink state in the retired format-2 layout,
+and a retained export whose file is corrupt or missing, are refused.
 """
 
 from __future__ import annotations
@@ -56,70 +52,6 @@ def assert_same_cells(payloads, expected) -> None:
         assert values.tobytes() == want_values.tobytes(), name
 
 
-def write_v1_checkpoint(directory, engine: StreamEngine) -> None:
-    """A checkpoint exactly as format version 1 wrote it."""
-    (directory / "streams").mkdir(parents=True)
-    for name in engine.stream_names():
-        (directory / "streams" / f"{name}.sketch").write_bytes(
-            engine.family(name).to_bytes()
-        )
-    (directory / "manifest.json").write_text(
-        json.dumps(
-            {
-                "format_version": 1,
-                "spec": SPEC.to_json_dict(),
-                "streams": engine.stream_names(),
-                "updates_processed": engine.updates_processed,
-            }
-        )
-    )
-
-
-class TestV1Migration:
-    def test_v1_restores_into_engine_fold_target(self, tmp_path):
-        """v1 checkpoint → CoordinatorServer.restore with an
-        engine_factory: the migration path a leaf upgraded in place
-        takes."""
-        engine = loaded_engine()
-        write_v1_checkpoint(tmp_path, engine)
-        server = CoordinatorServer.restore(
-            tmp_path, engine_factory=lambda spec: StreamEngine(spec)
-        )
-        fold = server.coordinator.fold_engine
-        assert isinstance(fold, StreamEngine)
-        assert fold.updates_processed == engine.updates_processed
-        for name in engine.stream_names():
-            assert server.coordinator.families()[name] == engine.family(name)
-        assert (
-            server.query_union(["A", "B"], 0.25).value
-            == engine.query_union(["A", "B"], 0.25).value
-        )
-
-    def test_recheckpoint_migrates_v1_to_current_format(self, tmp_path):
-        """Restoring a v1 checkpoint and checkpointing again writes the
-        current manifest format (stream_files mapping)."""
-        engine = loaded_engine()
-        v1 = tmp_path / "v1"
-        write_v1_checkpoint(v1, engine)
-        server = CoordinatorServer.restore(
-            v1, engine_factory=lambda spec: StreamEngine(spec)
-        )
-        server._checkpoint_dir = tmp_path / "v2"
-        server.checkpoint()
-        manifest = json.loads((tmp_path / "v2" / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
-        assert sorted(manifest["stream_files"]) == engine.stream_names()
-        restored = restore_engine(tmp_path / "v2")
-        for name in engine.stream_names():
-            assert restored.family(name) == engine.family(name)
-
-    def test_v1_has_no_extra_and_no_spec_surprises(self, tmp_path):
-        engine = loaded_engine()
-        write_v1_checkpoint(tmp_path, engine)
-        assert read_checkpoint_extra(tmp_path) == {}
-        assert read_checkpoint_spec(tmp_path) == SPEC
-
-
 class TestReadCheckpointSpec:
     def test_reads_spec_without_restoring(self, tmp_path):
         engine = StreamEngine(SPEC)
@@ -132,8 +64,7 @@ class TestReadCheckpointSpec:
             read_checkpoint_spec(tmp_path / "nope")
 
     def test_unusable_spec_raises(self, tmp_path):
-        engine = loaded_engine()
-        write_v1_checkpoint(tmp_path, engine)
+        checkpoint_engine(loaded_engine(), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["spec"] = {"not": "a spec"}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -222,47 +153,12 @@ class TestExtraThroughLeaf:
 
 
 class TestFormat3:
-    def test_v2_engine_checkpoint_restores_and_is_swept(self, tmp_path):
-        """A format-2 checkpoint (in-place ``<name>.sketch`` payloads)
-        restores through its file map; the next checkpoint publishes
-        format 3 and deletes the old payload files."""
-        engine = loaded_engine()
-        (tmp_path / "streams").mkdir()
-        files = {name: f"{name}.sketch" for name in engine.stream_names()}
-        for name, filename in files.items():
-            (tmp_path / "streams" / filename).write_bytes(
-                engine.family(name).to_bytes()
-            )
-        (tmp_path / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "format_version": 2,
-                    "spec": SPEC.to_json_dict(),
-                    "streams": engine.stream_names(),
-                    "stream_files": files,
-                    "updates_processed": engine.updates_processed,
-                }
-            )
-        )
-        server = CoordinatorServer.restore(tmp_path)
-        for name in engine.stream_names():
-            assert server.coordinator.families()[name] == engine.family(name)
-        server.checkpoint()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
-        assert sorted(p.name for p in (tmp_path / "streams").iterdir()) == sorted(
-            manifest["stream_files"].values()
-        )
-        assert not set(files.values()) & set(manifest["stream_files"].values())
-
     def test_v2_uplink_state_is_refused(self, tmp_path):
         """Format-2 leaf checkpoints kept base64 baselines and retained
         slabs in the manifest; restoring one as a leaf raises instead of
         keeping a second reader."""
-        engine = loaded_engine()
-        write_v1_checkpoint(tmp_path, engine)
+        checkpoint_engine(loaded_engine(), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["format_version"] = 2
         manifest["extra"] = {
             "uplink": {
                 "site_id": "leaf",
